@@ -19,7 +19,6 @@ from .data import Series, train_test_split
 from .errors import ContractError, EpiForecastError, ExhaustedGridError, UndefinedMetricError
 from .forecasters import (
     AdditiveConfig,
-    ArimaOrder,
     ArOrder,
     FittedModel,
     ForecasterSpec,
@@ -29,6 +28,7 @@ from .forecasters import (
     forecast,
     insample_predictions,
 )
+from .forecasters.arima import arima_orders
 from .metrics import fit_score, mape, mase, mse, rmse
 from .transform import fit_scaler, scale
 
@@ -410,15 +410,8 @@ def _expand_grid(kind: str, config_type, grid: dict, seed: int) -> list[Forecast
 
 def arima_default_candidates(seed: int = 0) -> list[ForecasterSpec]:
     """Complexity-ordered (p, d, q) grid so earlier-candidate ties pick simpler."""
-    orders = [
-        (p, d, q)
-        for p in range(ARIMA_DEFAULT_P_MAX + 1)
-        for d in ARIMA_DEFAULT_D
-        for q in range(ARIMA_DEFAULT_Q_MAX + 1)
-        if p + d + q > 0
-    ]
-    orders.sort(key=lambda o: (o[0] + o[1] + o[2], o[1], o[0], o[2]))
-    return [ForecasterSpec("arima", ArimaOrder(*o), seed) for o in orders]
+    orders = arima_orders(ARIMA_DEFAULT_P_MAX, ARIMA_DEFAULT_Q_MAX, ARIMA_DEFAULT_D)
+    return [ForecasterSpec("arima", order, seed) for order in orders]
 
 
 def default_model_grids(seed: int = 0) -> list[tuple[str, list[ForecasterSpec]]]:

@@ -18,7 +18,7 @@ import json
 import logging
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -47,7 +47,6 @@ from .errors import (
 )
 from .forecasters import (
     AdditiveConfig,
-    ArimaOrder,
     ArOrder,
     ForecasterSpec,
     LstmConfig,
@@ -58,6 +57,7 @@ from .forecasters import (
     load_model,
     save_model,
 )
+from .forecasters.arima import arima_orders
 from .metrics import fit_score, mse
 from .transform import fit_scaler, scale
 
@@ -136,20 +136,32 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read_ini(path: str, what: str) -> configparser.ConfigParser:
+    """Reads an INI file; a missing or malformed file is a usage error."""
+    ini = configparser.ConfigParser()
+    try:
+        read = ini.read(path)
+    except (ValueError, configparser.Error) as exc:
+        raise UsageError(f"malformed {what} file {path}: {exc}") from exc
+    if not read:
+        raise UsageError(f"cannot read {what} file {path}")
+    return ini
+
+
 def _resolve(args, *keys) -> dict:
     """flags > config-file [run] section > defaults, for the requested keys."""
     effective = {k: DEFAULTS[k] for k in keys}
     config_path = getattr(args, "config", None)
     if config_path:
-        ini = configparser.ConfigParser()
-        read = ini.read(config_path)
-        if not read:
-            raise UsageError(f"cannot read config file {config_path}")
+        ini = _read_ini(config_path, "config")
         if ini.has_section("run"):
             for k in keys:
                 if ini.has_option("run", k):
-                    raw = ini.get("run", k)
-                    effective[k] = type(DEFAULTS[k])(raw) if k != "target" else raw
+                    try:
+                        raw = ini.get("run", k)
+                        effective[k] = type(DEFAULTS[k])(raw) if k != "target" else raw
+                    except (ValueError, configparser.Error) as exc:
+                        raise UsageError(f"config [run] {k}: {exc}") from exc
     for k in keys:
         value = getattr(args, k, None)
         if value is not None:
@@ -196,48 +208,49 @@ _CONFIG_TYPES = {"lstm": LstmConfig, "mlp": MlpConfig, "additive": AdditiveConfi
 
 
 def _grid_overrides(path: str, seed: int) -> dict[str, list[ForecasterSpec]]:
-    ini = configparser.ConfigParser()
-    if not ini.read(path):
-        raise UsageError(f"cannot read grid file {path}")
+    ini = _read_ini(path, "grid")
     out: dict[str, list[ForecasterSpec]] = {}
     for kind in ini.sections():
         if kind not in KIND_CHOICES:
             raise UsageError(f"unknown model kind [{kind}] in grid file")
-        options = {k: [v.strip() for v in raw.split(",")] for k, raw in ini.items(kind)}
-        if kind == "autoreg":
-            ps = [int(v) for v in options.get("p", [])]
-            if not ps:
-                raise UsageError("grid section [autoreg] needs p = ...")
-            out[kind] = [ForecasterSpec("autoreg", ArOrder(p), seed) for p in ps]
-        elif kind == "arima":
-            p_max = int(options.get("p_max", ["5"])[0])
-            q_max = int(options.get("q_max", ["5"])[0])
-            ds = [int(v) for v in options.get("d", ["0", "1"])]
-            orders = [
-                (p, d, q)
-                for p in range(p_max + 1)
-                for d in ds
-                for q in range(q_max + 1)
-                if p + d + q > 0
-            ]
-            orders.sort(key=lambda o: (o[0] + o[1] + o[2], o[1], o[0], o[2]))
-            out[kind] = [ForecasterSpec("arima", ArimaOrder(*o), seed) for o in orders]
-        else:
-            types = _GRID_FIELD_TYPES[kind]
-            unknown = set(options) - set(types)
-            if unknown:
-                raise UsageError(f"unknown fields {sorted(unknown)} in grid section [{kind}]")
-            values = {k: [types[k](v) for v in vs] for k, vs in options.items()}
-            keys = list(values)
-            specs = []
-            for combo in itertools.product(*(values[k] for k in keys)):
-                specs.append(
-                    ForecasterSpec(kind, _CONFIG_TYPES[kind](**dict(zip(keys, combo))), seed)
-                )
-            if not specs:
-                raise UsageError(f"grid section [{kind}] is empty")
-            out[kind] = specs
+        try:
+            out[kind] = _grid_section(ini, kind, seed)
+        except (ValueError, configparser.Error) as exc:
+            raise UsageError(f"grid section [{kind}]: {exc}") from exc
     return out
+
+
+def _grid_section(ini: configparser.ConfigParser, kind: str, seed: int) -> list[ForecasterSpec]:
+    options = {k: [v.strip() for v in raw.split(",")] for k, raw in ini.items(kind)}
+    if kind == "autoreg":
+        ps = [int(v) for v in options.get("p", [])]
+        if not ps:
+            raise UsageError("grid section [autoreg] needs p = ...")
+        return [ForecasterSpec("autoreg", ArOrder(p), seed) for p in ps]
+    if kind == "arima":
+        p_max = int(options.get("p_max", ["5"])[0])
+        q_max = int(options.get("q_max", ["5"])[0])
+        ds = [int(v) for v in options.get("d", ["0", "1"])]
+        return [ForecasterSpec("arima", order, seed) for order in arima_orders(p_max, q_max, ds)]
+    types = _GRID_FIELD_TYPES[kind]
+    unknown = set(options) - set(types)
+    if unknown:
+        raise UsageError(f"unknown fields {sorted(unknown)} in grid section [{kind}]")
+    missing = [
+        f.name
+        for f in fields(_CONFIG_TYPES[kind])
+        if f.default is MISSING and f.name not in options
+    ]
+    if missing:
+        raise UsageError(f"grid section [{kind}] needs {', '.join(missing)}")
+    values = {k: [types[k](v) for v in vs] for k, vs in options.items()}
+    keys = list(values)
+    specs = []
+    for combo in itertools.product(*(values[k] for k in keys)):
+        specs.append(ForecasterSpec(kind, _CONFIG_TYPES[kind](**dict(zip(keys, combo))), seed))
+    if not specs:
+        raise UsageError(f"grid section [{kind}] is empty")
+    return specs
 
 
 def _candidates_for(kind: str, seed: int, grid_path: str | None) -> list[ForecasterSpec]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +25,65 @@ logger = logging.getLogger(__name__)
 
 MAX_ITER = 200
 REL_TOL = 1e-10
+
+
+def _ma_filter(base: list, theta: list) -> list:
+    """u_t = b_t - sum_{j <= min(q, t)} theta_j u_{t-j}, subtracting in j order.
+
+    Pre-sample values of u are zero, so the first q steps use only the lags
+    that exist. Plain floats beat numpy scalars in this sequential loop, and
+    the straight-line bodies for q <= 5 skip the inner loop; every form
+    rounds exactly like the generic one.
+    """
+    q = len(theta)
+    u = list(base)
+    T = len(u)
+    for t in range(1, min(q, T)):
+        acc = u[t]
+        for j in range(1, t + 1):
+            acc -= theta[j - 1] * u[t - j]
+        u[t] = acc
+    if T <= q:
+        return u
+    if q == 1:
+        (a1,) = theta
+        u1 = u[0]
+        for t in range(1, T):
+            u1 = u[t] = u[t] - a1 * u1
+    elif q == 2:
+        a1, a2 = theta
+        u2, u1 = u[:2]
+        for t in range(2, T):
+            u1, u2 = u[t] - a1 * u1 - a2 * u2, u1
+            u[t] = u1
+    elif q == 3:
+        a1, a2, a3 = theta
+        u3, u2, u1 = u[:3]
+        for t in range(3, T):
+            u1, u2, u3 = u[t] - a1 * u1 - a2 * u2 - a3 * u3, u1, u2
+            u[t] = u1
+    elif q == 4:
+        a1, a2, a3, a4 = theta
+        u4, u3, u2, u1 = u[:4]
+        for t in range(4, T):
+            u1, u2, u3, u4 = u[t] - a1 * u1 - a2 * u2 - a3 * u3 - a4 * u4, u1, u2, u3
+            u[t] = u1
+    elif q == 5:
+        a1, a2, a3, a4, a5 = theta
+        u5, u4, u3, u2, u1 = u[:5]
+        for t in range(5, T):
+            u1, u2, u3, u4, u5 = (
+                u[t] - a1 * u1 - a2 * u2 - a3 * u3 - a4 * u4 - a5 * u5, u1, u2, u3, u4
+            )
+            u[t] = u1
+    else:
+        lags = list(enumerate(theta, 1))
+        for t in range(q, T):
+            acc = u[t]
+            for j, a in lags:
+                acc -= a * u[t - j]
+            u[t] = acc
+    return u
 
 
 def css_residuals(z: np.ndarray, order: ArimaOrder, params) -> np.ndarray:
@@ -48,59 +108,49 @@ def css_residuals(z: np.ndarray, order: ArimaOrder, params) -> np.ndarray:
         e = e - phi[i - 1] * z[p - i : m - i]
     if q == 0:
         return e
-    # sequential MA recursion; plain floats beat numpy scalars here
-    base = e.tolist()
-    th = theta.tolist()
-    eps = [0.0] * len(base)
-    for t in range(len(base)):
-        acc = base[t]
-        for j in range(1, q + 1):
-            if t - j >= 0:
-                acc -= th[j - 1] * eps[t - j]
-        eps[t] = acc
-    return np.array(eps, dtype=np.float64)
+    return np.array(_ma_filter(e.tolist(), theta.tolist()), dtype=np.float64)
 
 
-def arima_css_objective(z: np.ndarray, order: ArimaOrder, params) -> float:
-    """Sum of squared conditional residuals; with q = 0 this is the AR objective."""
-    e = css_residuals(z, order, params)
+def _sum_of_squares(e: np.ndarray) -> float:
     # far-from-stationary candidates overflow to inf here; callers treat a
     # non-finite objective as divergence, so silence the intermediate warning
     with np.errstate(over="ignore"):
         return float(e @ e)
 
 
-def _css_jacobian(z: np.ndarray, order: ArimaOrder, beta: np.ndarray):
-    """Residuals and d(residual)/d(params); each column obeys the MA recursion."""
+def arima_css_objective(z: np.ndarray, order: ArimaOrder, params) -> float:
+    """Sum of squared conditional residuals; with q = 0 this is the AR objective."""
+    return _sum_of_squares(css_residuals(z, order, params))
+
+
+def _css_jacobian(
+    z: np.ndarray, order: ArimaOrder, beta: np.ndarray, eps: np.ndarray
+) -> np.ndarray:
+    """d(residual)/d(params) at beta, given beta's residuals eps.
+
+    Each column is its base sensitivity passed through the MA recursion. The
+    base of theta_j is -e_{t-j}, the theta_1 base lagged by j - 1 with zero
+    rows above; the pre-sample is zero and the filter is time-invariant, so
+    filtering the theta_1 base once and lagging the result gives every MA
+    column. The terms this skips are theta_k * 0.0 on the zero rows, which
+    change no value (at most the sign of an exact zero).
+    """
     p, q = order.p, order.q
     m = z.size
     T = m - p
-    eps = css_residuals(z, order, beta)
-    k = 1 + p + q
-    J = np.empty((T, k), dtype=np.float64)
-    # base sensitivities before the recursive MA feedback
+    J = np.zeros((T, 1 + p + q), dtype=np.float64)
     J[:, 0] = -1.0
     for i in range(1, p + 1):
         J[:, i] = -z[p - i : m - i]
     if q == 0:
-        return eps, J
-    eps_l = eps.tolist()
+        return J
     theta = beta[1 + p :].tolist()
-    for col in range(k):
-        if col < 1 + p:
-            base = J[:, col].tolist()
-        else:
-            j_lag = col - p  # theta_{j_lag}
-            base = [-(eps_l[t - j_lag]) if t - j_lag >= 0 else 0.0 for t in range(T)]
-        u = [0.0] * T
-        for t in range(T):
-            acc = base[t]
-            for j in range(1, q + 1):
-                if t - j >= 0:
-                    acc -= theta[j - 1] * u[t - j]
-            u[t] = acc
-        J[:, col] = u
-    return eps, J
+    for col in range(1 + p):
+        J[:, col] = _ma_filter(J[:, col].tolist(), theta)
+    ma = np.array(_ma_filter([0.0] + (-eps[:-1]).tolist(), theta), dtype=np.float64)
+    for lag in range(min(q, T)):
+        J[lag:, 1 + p + lag] = ma[: T - lag]
+    return J
 
 
 def _hannan_rissanen_init(z: np.ndarray, order: ArimaOrder) -> np.ndarray:
@@ -175,14 +225,16 @@ def fit_arima(train: Series, order: ArimaOrder) -> FittedModel:
         raise ContractError(f"series of length {n} too short for ARIMA({p},{d},{q})")
     z, _ = difference_values(train.values, d)
     beta = _hannan_rissanen_init(z, order)
-    s = arima_css_objective(z, order, beta)
+    # eps always holds the residuals of the current beta
+    eps = css_residuals(z, order, beta)
+    s = _sum_of_squares(eps)
     if not np.isfinite(s):
         raise DivergenceError("ARIMA starting values give a non-finite objective")
 
     lam = 1e-3
     identity = np.eye(beta.size)
     for _ in range(MAX_ITER):
-        eps, J = _css_jacobian(z, order, beta)
+        J = _css_jacobian(z, order, beta, eps)
         g = J.T @ eps
         A = J.T @ J
         accepted = False
@@ -194,11 +246,11 @@ def fit_arima(train: Series, order: ArimaOrder) -> FittedModel:
                 lam = min(lam * 10.0, 1e12)
                 continue
             candidate = beta + delta
-            s_new = arima_css_objective(z, order, candidate)
+            eps_new = css_residuals(z, order, candidate)
+            s_new = _sum_of_squares(eps_new)
             if np.isfinite(s_new) and s_new < s:
                 rel = (s - s_new) / max(s, np.finfo(float).tiny)
-                beta = candidate
-                s = s_new
+                beta, eps, s = candidate, eps_new, s_new
                 lam = max(lam / 10.0, 1e-12)
                 accepted = True
                 break
@@ -208,7 +260,6 @@ def fit_arima(train: Series, order: ArimaOrder) -> FittedModel:
     if not np.isfinite(s):
         raise DivergenceError("ARIMA optimization produced a non-finite objective")
 
-    eps = css_residuals(z, order, beta)
     params = ArimaParams(
         c=float(beta[0]),
         phi=beta[1 : 1 + p].copy(),
@@ -260,6 +311,20 @@ def insample_arima(model: FittedModel, train: Series) -> tuple[np.ndarray, np.nd
     eps = css_residuals(z, order, beta)
     actual = train.values[order.d + order.p :]
     return actual, actual - eps
+
+
+def arima_orders(p_max: int, q_max: int, ds: Sequence[int] = (0, 1)) -> list[ArimaOrder]:
+    """Every order with p <= p_max, d in ds and q <= q_max except (0, 0, 0),
+    simplest first: by p + d + q, then d, then p, then q."""
+    orders = [
+        ArimaOrder(p, d, q)
+        for p in range(p_max + 1)
+        for d in ds
+        for q in range(q_max + 1)
+        if p + d + q > 0
+    ]
+    orders.sort(key=lambda o: (o.p + o.d + o.q, o.d, o.p, o.q))
+    return orders
 
 
 # Candidates whose AR polynomial has a root at or near the unit circle produce
@@ -321,25 +386,20 @@ def grid_search_arima(
         raise ContractError("p_max and q_max must be >= 0")
     results = []
     skipped = []
-    for p in range(p_max + 1):
-        for d in (0, 1):
-            for q in range(q_max + 1):
-                if p + d + q == 0:
-                    continue
-                order = ArimaOrder(p, d, q)
-                try:
-                    model = fit_arima(train, order)
-                    root = _max_ar_root_modulus(model.params.phi)
-                    if root > AR_ROOT_LIMIT:
-                        raise DivergenceError(
-                            f"ar reciprocal root modulus {root:.4f} exceeds {AR_ROOT_LIMIT}"
-                        )
-                    score = _validation_onestep_mse(model, train, validation)
-                except Exception as exc:  # noqa: BLE001 - candidates must never be fatal
-                    skipped.append((order, str(exc)))
-                    logger.warning("skipping ARIMA(%d,%d,%d): %s", p, d, q, exc)
-                    continue
-                results.append((score, order, model))
+    for order in arima_orders(p_max, q_max):
+        try:
+            model = fit_arima(train, order)
+            root = _max_ar_root_modulus(model.params.phi)
+            if root > AR_ROOT_LIMIT:
+                raise DivergenceError(
+                    f"ar reciprocal root modulus {root:.4f} exceeds {AR_ROOT_LIMIT}"
+                )
+            score = _validation_onestep_mse(model, train, validation)
+        except Exception as exc:  # noqa: BLE001 - candidates must never be fatal
+            skipped.append((order, str(exc)))
+            logger.warning("skipping ARIMA(%d,%d,%d): %s", order.p, order.d, order.q, exc)
+            continue
+        results.append((score, order, model))
     if not results:
         raise ExhaustedGridError(
             f"all {len(skipped)} ARIMA candidates failed; last: {skipped[-1][1]}"

@@ -45,6 +45,63 @@ def simulate_arma(phi=(), theta=(), n=1000, sigma=1.0, seed=0, c=0.0, burn=300):
     return z[burn:]
 
 
+# --- ARIMA CSS kernel reference ---------------------------------------------
+
+
+def oracle_ma_recursion(base, theta):
+    """u_t = b_t - sum_j theta_j u_{t-j} over the lags that exist, in j order."""
+    q = len(theta)
+    u = [0.0] * len(base)
+    for t in range(len(base)):
+        acc = base[t]
+        for j in range(1, q + 1):
+            if t - j >= 0:
+                acc -= theta[j - 1] * u[t - j]
+        u[t] = acc
+    return u
+
+
+def oracle_css_residuals(z, p, q, beta):
+    """Conditional residuals for t = p..m-1 with the same elementwise
+    association as the package, so results are comparable bit for bit."""
+    z = np.asarray(z, dtype=np.float64)
+    beta = np.asarray(beta, dtype=np.float64)
+    m = z.size
+    e = z[p:] - beta[0]
+    for i in range(1, p + 1):
+        e = e - beta[i] * z[p - i : m - i]
+    if q == 0:
+        return e
+    return np.array(oracle_ma_recursion(e.tolist(), beta[1 + p :].tolist()), dtype=np.float64)
+
+
+def oracle_css_jacobian(z, p, q, beta):
+    """Residuals and d(residual)/d(params), filtering every column on its own:
+    the intercept, each AR lag, and each MA lag's base -e_{t-j}."""
+    z = np.asarray(z, dtype=np.float64)
+    beta = np.asarray(beta, dtype=np.float64)
+    m = z.size
+    T = m - p
+    eps = oracle_css_residuals(z, p, q, beta)
+    k = 1 + p + q
+    J = np.empty((T, k), dtype=np.float64)
+    J[:, 0] = -1.0
+    for i in range(1, p + 1):
+        J[:, i] = -z[p - i : m - i]
+    if q == 0:
+        return eps, J
+    eps_l = eps.tolist()
+    theta = beta[1 + p :].tolist()
+    for col in range(k):
+        if col < 1 + p:
+            base = J[:, col].tolist()
+        else:
+            j_lag = col - p
+            base = [-(eps_l[t - j_lag]) if t - j_lag >= 0 else 0.0 for t in range(T)]
+        J[:, col] = oracle_ma_recursion(base, theta)
+    return eps, J
+
+
 # --- LSTM gradient probe ----------------------------------------------------
 
 

@@ -6,16 +6,25 @@ import pytest
 
 from epiforecast.data import train_test_split
 from epiforecast.errors import ContractError, ExhaustedGridError
-from epiforecast.forecasters import ForecasterSpec, fit, forecast, insample_predictions
+from epiforecast.forecasters import ForecasterSpec, arima, fit, forecast, insample_predictions
 from epiforecast.forecasters.arima import (
+    _css_jacobian,
+    _ma_filter,
     arima_css_objective,
+    arima_orders,
     css_residuals,
     fit_arima,
     grid_search_arima,
 )
 from epiforecast.forecasters.autoreg import lag_matrix
 from epiforecast.forecasters.base import ArimaOrder
-from oracles import simulate_arma
+from epiforecast.transform import difference_values, fit_scaler, scale
+from oracles import (
+    oracle_css_jacobian,
+    oracle_css_residuals,
+    oracle_ma_recursion,
+    simulate_arma,
+)
 from support import series
 
 
@@ -78,6 +87,88 @@ def test_css_objective_with_q_zero_equals_ar_sum_of_squares():
         assert arima_css_objective(z, ArimaOrder(p, 0, 0), beta) == pytest.approx(
             float(res @ res), rel=1e-12
         )
+
+
+# --- CSS kernel against the per-column reference -----------------------------
+
+# every straight-line MA recursion (q = 1..5) and the generic loop (q = 6)
+KERNEL_ORDERS = [(0, 1), (2, 2), (1, 3), (2, 4), (3, 5), (0, 6)]
+
+
+@pytest.mark.parametrize("q", sorted({q for _, q in KERNEL_ORDERS}))
+def test_ma_filter_equals_naive_recursion(q):
+    rng = np.random.default_rng(100 + q)
+    base = rng.normal(0.0, 1.0, 60).tolist()
+    theta = rng.uniform(-0.6, 0.6, q).tolist()
+    assert np.array_equal(_ma_filter(base, theta), oracle_ma_recursion(base, theta))
+    # series no longer than q run only the start-up steps
+    for n in (0, 1, q):
+        assert np.array_equal(_ma_filter(base[:n], theta), oracle_ma_recursion(base[:n], theta))
+
+
+@pytest.mark.parametrize("p,q", KERNEL_ORDERS + [(2, 0)])
+def test_css_jacobian_equals_per_column_filtering(p, q):
+    rng = np.random.default_rng(200 + 10 * p + q)
+    z = rng.normal(0.0, 1.0, 80).cumsum()
+    beta = np.concatenate([[0.1], rng.uniform(-0.3, 0.3, p), rng.uniform(-0.5, 0.5, q)])
+    order = ArimaOrder(p, 0, q)
+    eps_want, J_want = oracle_css_jacobian(z, p, q, beta)
+    eps = css_residuals(z, order, beta)
+    assert np.array_equal(eps, eps_want)
+    assert np.array_equal(_css_jacobian(z, order, beta, eps), J_want)
+
+
+def test_css_jacobian_matches_central_differences():
+    rng = np.random.default_rng(7)
+    z = simulate_arma(phi=(0.5, -0.2), theta=(0.4, 0.2, -0.1), n=120, sigma=0.1, seed=8)
+    order = ArimaOrder(2, 0, 3)
+    beta = np.array([0.05, 0.45, -0.15, 0.35, 0.15, -0.05]) + rng.uniform(-0.02, 0.02, 6)
+    J = _css_jacobian(z, order, beta, css_residuals(z, order, beta))
+    h = 1e-6
+    for k in range(beta.size):
+        up, dn = beta.copy(), beta.copy()
+        up[k] += h
+        dn[k] -= h
+        fd = (css_residuals(z, order, up) - css_residuals(z, order, dn)) / (2 * h)
+        assert np.max(np.abs(fd - J[:, k])) <= 1e-6 * max(1.0, np.max(np.abs(J[:, k])))
+
+
+# (3,0,2) is the backtest's pick and, like (5,1,4), runs to MAX_ITER on this
+# split; (2,0,3) converges after about 110 iterations and (1,1,1) after 7
+@pytest.mark.parametrize("pdq", [(3, 0, 2), (5, 1, 4), (2, 0, 3), (1, 1, 1)])
+def test_fit_is_bit_identical_to_per_column_jacobian(deaths, monkeypatch, pdq):
+    """The backtest's ARIMA fit split (scaled validation fit part of deaths),
+    fitted with the kernel and with the per-column reference Jacobian."""
+    train, _ = train_test_split(deaths, 0.2)
+    fit_part, _ = train_test_split(train, 0.2)
+    fit_part = scale(fit_scaler(fit_part), fit_part)
+    order = ArimaOrder(*pdq)
+    got = fit_arima(fit_part, order).params
+
+    def per_column(z, order, beta, eps):
+        eps_want, J = oracle_css_jacobian(z, order.p, order.q, beta)
+        # the residuals the fit carries are those of the current beta
+        assert eps.tobytes() == eps_want.tobytes()
+        return J
+
+    monkeypatch.setattr(arima, "_css_jacobian", per_column)
+    want = fit_arima(fit_part, order).params
+    assert got.c == want.c
+    assert np.array_equal(got.phi, want.phi)
+    assert np.array_equal(got.theta, want.theta)
+    assert np.array_equal(got.resid_tail, want.resid_tail)
+    z, _ = difference_values(fit_part.values, order.d)
+    beta = np.concatenate(([got.c], got.phi, got.theta))
+    tail = oracle_css_residuals(z, order.p, order.q, beta)[len(z) - order.p - order.q :]
+    assert np.array_equal(got.resid_tail, tail)
+
+
+def test_arima_orders_are_complexity_ordered_and_complete():
+    orders = arima_orders(2, 1, (0, 1))
+    keys = [(o.p + o.d + o.q, o.d, o.p, o.q) for o in orders]
+    assert keys == sorted(keys)
+    assert len(set(orders)) == len(orders) == 3 * 2 * 2 - 1
+    assert [(o.p, o.d, o.q) for o in arima_orders(0, 1, (1,))] == [(0, 1, 0), (0, 1, 1)]
 
 
 def test_objective_is_zero_at_true_params_of_noiseless_ar1():

@@ -123,6 +123,37 @@ def test_bad_grid_file_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        ("arima", "[arima]\np_max = x\n", "grid section [arima]: invalid literal"),
+        ("autoreg", "p = 2\n", "malformed grid file"),
+        ("mlp", "[mlp]\nwindow = 7\n", "grid section [mlp] needs hidden_units"),
+    ],
+    ids=["non-integer-p_max", "no-section-header", "missing-field"],
+)
+def test_malformed_grid_file_is_usage_error_without_traceback(
+    tmp_path, capsys, kind, text, message
+):
+    data = make_csv(tmp_path / "data.csv")
+    grid = write_grid(tmp_path / "grid.ini", text)
+    assert main(["fit", "--input", str(data), "--model", kind, "--grid", str(grid)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_malformed_config_value_is_usage_error_without_traceback(tmp_path, capsys):
+    data = make_csv(tmp_path / "data.csv")
+    config = tmp_path / "run.ini"
+    config.write_text("[run]\nseed = abc\n")
+    args = ["backtest", "--input", str(data), "--models", "autoreg", "--config", str(config)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config [run] seed: invalid literal")
+    assert "Traceback" not in err
+
+
 def fitted_model_file(tmp_path, capsys, target="deaths", n=60):
     data = make_csv(tmp_path / "data.csv", n=n)
     grid = write_grid(tmp_path / "grid.ini", "[autoreg]\np = 3\n")
