@@ -11,23 +11,14 @@ from __future__ import annotations
 import itertools
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import date
 from typing import Any, NamedTuple, Sequence
 
 from .data import Series, train_test_split
 from .errors import ContractError, EpiForecastError, ExhaustedGridError, UndefinedMetricError
-from .forecasters import (
-    AdditiveConfig,
-    ArOrder,
-    FittedModel,
-    ForecasterSpec,
-    LstmConfig,
-    MlpConfig,
-    fit,
-    forecast,
-    insample_predictions,
-)
+from .forecasters import FittedModel, ForecasterSpec, fit, forecast, insample_predictions
+from .forecasters.base import CONFIG_TYPES
 from .forecasters.arima import arima_orders
 from .metrics import fit_score, mape, mase, mse, rmse
 from .transform import fit_scaler, scale
@@ -168,9 +159,9 @@ def grid_search(
             else:
                 folds = rolling_origin_eval(spec, train, protocol)
                 score = sum(f.mse for f in folds) / len(folds)
-        except EpiForecastError as exc:
-            failures.append((spec, str(exc)))
-            logger.warning("grid search skipping %s %s: %s", spec.kind, spec.config, exc)
+        except Exception as exc:  # one failing candidate must not end the search
+            reason = _failure(exc, f"grid search skipping {spec.kind} {spec.config}")
+            failures.append((spec, reason))
             continue
         if best_score is None or score < best_score:
             best_score = score
@@ -180,6 +171,15 @@ def grid_search(
             f"all {len(failures)} grid candidates failed; last: {failures[-1][1]}"
         )
     return best_spec, _fit_normalized(best_spec, train), best_score
+
+
+def _failure(exc: Exception, context: str) -> str:
+    """Logs a failure and returns its reason: a package error's message as is,
+    any other exception as "TypeName: message", logged with its traceback."""
+    foreign = not isinstance(exc, EpiForecastError)
+    reason = f"{type(exc).__name__}: {exc}" if foreign else str(exc)
+    logger.warning("%s: %s", context, reason, exc_info=foreign)
+    return reason
 
 
 @dataclass
@@ -303,7 +303,7 @@ def compare_models(
             fc = forecast(model, len(test_n))
             actual, predicted = insample_predictions(model, train_n)
             row.kind = chosen.kind
-            row.hyperparameters = _config_dict(chosen)
+            row.hyperparameters = asdict(chosen.config)
             row.seed = chosen.seed
             row.mse_train = mse(actual, predicted)
             row.mse_test = mse(test_n.values, fc)
@@ -319,9 +319,8 @@ def compare_models(
                 row.mase_test = mase(test_n.values, fc, train_n.values)
             except UndefinedMetricError as exc:
                 row.notes.append(f"mase_test undefined: {exc}")
-        except EpiForecastError as exc:
-            row.error = str(exc)
-            logger.warning("model %s failed: %s", name, exc)
+        except Exception as exc:  # one failing family must not end the comparison
+            row.error = _failure(exc, f"model {name} failed")
         row.wall_time_s = time.perf_counter() - t0
         rows.append(row)
     return BacktestReport(
@@ -334,12 +333,6 @@ def compare_models(
         target=target,
         protocol=protocol,
     )
-
-
-def _config_dict(spec: ForecasterSpec) -> dict[str, Any]:
-    from dataclasses import asdict
-
-    return asdict(spec.config)
 
 
 def render_table(report: BacktestReport) -> str:
@@ -398,14 +391,22 @@ ADDITIVE_DEFAULT_GRID = {
     "fourier_order": (3,),
     "period": (7.0,),
 }
+# ARIMA's orders are not a product grid; see arima_default_candidates
+DEFAULT_GRIDS = {
+    "additive": ADDITIVE_DEFAULT_GRID,
+    "lstm": LSTM_DEFAULT_GRID,
+    "autoreg": {"p": AUTOREG_DEFAULT_P},
+    "mlp": MLP_DEFAULT_GRID,
+}
 
 
-def _expand_grid(kind: str, config_type, grid: dict, seed: int) -> list[ForecasterSpec]:
+def expand_grid(kind: str, grid: dict, seed: int) -> list[ForecasterSpec]:
+    """One spec per combination of the grid's value lists, last key fastest."""
     keys = list(grid)
-    specs = []
-    for combo in itertools.product(*(grid[k] for k in keys)):
-        specs.append(ForecasterSpec(kind, config_type(**dict(zip(keys, combo))), seed))
-    return specs
+    return [
+        ForecasterSpec(kind, CONFIG_TYPES[kind](**dict(zip(keys, combo))), seed)
+        for combo in itertools.product(*(grid[k] for k in keys))
+    ]
 
 
 def arima_default_candidates(seed: int = 0) -> list[ForecasterSpec]:
@@ -415,17 +416,7 @@ def arima_default_candidates(seed: int = 0) -> list[ForecasterSpec]:
 
 
 def default_model_grids(seed: int = 0) -> list[tuple[str, list[ForecasterSpec]]]:
-    """The five standard entries for a full comparison run."""
-    return [
-        (
-            "Prophet",
-            _expand_grid("additive", AdditiveConfig, ADDITIVE_DEFAULT_GRID, seed),
-        ),
-        ("LSTM", _expand_grid("lstm", LstmConfig, LSTM_DEFAULT_GRID, seed)),
-        (
-            "AUTO REG",
-            [ForecasterSpec("autoreg", ArOrder(p), seed) for p in AUTOREG_DEFAULT_P],
-        ),
-        ("ARIMA", arima_default_candidates(seed)),
-        ("ANN", _expand_grid("mlp", MlpConfig, MLP_DEFAULT_GRID, seed)),
-    ]
+    """The five standard entries for a full comparison run, in DISPLAY_NAMES order."""
+    grids = {kind: expand_grid(kind, grid, seed) for kind, grid in DEFAULT_GRIDS.items()}
+    grids["arima"] = arima_default_candidates(seed)
+    return [(name, grids[kind]) for kind, name in DISPLAY_NAMES.items()]

@@ -13,14 +13,14 @@ import argparse
 import configparser
 import csv
 import io
-import itertools
 import json
 import logging
 import sys
 import time
-from dataclasses import MISSING, asdict, fields
+from dataclasses import MISSING, asdict, fields, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from typing import get_type_hints
 
 from . import __version__
 from .backtest import (
@@ -28,6 +28,7 @@ from .backtest import (
     EvalProtocol,
     compare_models,
     default_model_grids,
+    expand_grid,
     grid_search,
     render_table,
 )
@@ -46,11 +47,8 @@ from .errors import (
     ValidationError,
 )
 from .forecasters import (
-    AdditiveConfig,
-    ArOrder,
+    KINDS,
     ForecasterSpec,
-    LstmConfig,
-    MlpConfig,
     fit,
     forecast,
     insample_predictions,
@@ -58,6 +56,7 @@ from .forecasters import (
     save_model,
 )
 from .forecasters.arima import arima_orders
+from .forecasters.base import CONFIG_TYPES
 from .metrics import fit_score, mse
 from .transform import fit_scaler, scale
 
@@ -69,7 +68,6 @@ EXIT_DATA = 2
 EXIT_MODEL = 3
 
 TARGET_CHOICES = ("confirmed", "deaths", "recovered")
-KIND_CHOICES = ("autoreg", "arima", "lstm", "mlp", "additive")
 
 DEFAULTS = {
     "target": "confirmed",
@@ -105,7 +103,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("fit", help="fit one model (grid-searched) and write a model file")
     p.add_argument("--input", required=True)
     p.add_argument("--target", choices=TARGET_CHOICES)
-    p.add_argument("--model", required=True, choices=KIND_CHOICES)
+    p.add_argument("--model", required=True, choices=KINDS)
     p.add_argument("--grid", help="INI grid file overriding default candidates")
     p.add_argument("--seed", type=int)
     p.add_argument("--test-fraction", type=float, dest="test_fraction")
@@ -180,38 +178,11 @@ def _parse_bool(raw: str) -> bool:
     raise UsageError(f"not a boolean: {raw!r}")
 
 
-_GRID_FIELD_TYPES = {
-    "lstm": {
-        "num_units": int,
-        "window": int,
-        "epochs": int,
-        "learning_rate": float,
-        "batch_size": int,
-        "layers": int,
-    },
-    "mlp": {
-        "window": int,
-        "hidden_units": int,
-        "epochs": int,
-        "learning_rate": float,
-        "seasonal": _parse_bool,
-    },
-    "additive": {
-        "n_changepoints": int,
-        "changepoint_penalty": float,
-        "fourier_order": int,
-        "period": float,
-    },
-}
-
-_CONFIG_TYPES = {"lstm": LstmConfig, "mlp": MlpConfig, "additive": AdditiveConfig}
-
-
 def _grid_overrides(path: str, seed: int) -> dict[str, list[ForecasterSpec]]:
     ini = _read_ini(path, "grid")
     out: dict[str, list[ForecasterSpec]] = {}
     for kind in ini.sections():
-        if kind not in KIND_CHOICES:
+        if kind not in KINDS:
             raise UsageError(f"unknown model kind [{kind}] in grid file")
         try:
             out[kind] = _grid_section(ini, kind, seed)
@@ -222,45 +193,33 @@ def _grid_overrides(path: str, seed: int) -> dict[str, list[ForecasterSpec]]:
 
 def _grid_section(ini: configparser.ConfigParser, kind: str, seed: int) -> list[ForecasterSpec]:
     options = {k: [v.strip() for v in raw.split(",")] for k, raw in ini.items(kind)}
-    if kind == "autoreg":
-        ps = [int(v) for v in options.get("p", [])]
-        if not ps:
-            raise UsageError("grid section [autoreg] needs p = ...")
-        return [ForecasterSpec("autoreg", ArOrder(p), seed) for p in ps]
     if kind == "arima":
         p_max = int(options.get("p_max", ["5"])[0])
         q_max = int(options.get("q_max", ["5"])[0])
         ds = [int(v) for v in options.get("d", ["0", "1"])]
         return [ForecasterSpec("arima", order, seed) for order in arima_orders(p_max, q_max, ds)]
-    types = _GRID_FIELD_TYPES[kind]
+    config_type = CONFIG_TYPES[kind]
+    types = get_type_hints(config_type)
     unknown = set(options) - set(types)
     if unknown:
         raise UsageError(f"unknown fields {sorted(unknown)} in grid section [{kind}]")
     missing = [
         f.name
-        for f in fields(_CONFIG_TYPES[kind])
+        for f in fields(config_type)
         if f.default is MISSING and f.name not in options
     ]
     if missing:
         raise UsageError(f"grid section [{kind}] needs {', '.join(missing)}")
-    values = {k: [types[k](v) for v in vs] for k, vs in options.items()}
-    keys = list(values)
-    specs = []
-    for combo in itertools.product(*(values[k] for k in keys)):
-        specs.append(ForecasterSpec(kind, _CONFIG_TYPES[kind](**dict(zip(keys, combo))), seed))
-    if not specs:
-        raise UsageError(f"grid section [{kind}] is empty")
-    return specs
+    parsers = {int: int, float: float, bool: _parse_bool}
+    grid = {k: [parsers[types[k]](v) for v in vs] for k, vs in options.items()}
+    return expand_grid(kind, grid, seed)
 
 
 def _candidates_for(kind: str, seed: int, grid_path: str | None) -> list[ForecasterSpec]:
     overrides = _grid_overrides(grid_path, seed) if grid_path else {}
     if kind in overrides:
         return overrides[kind]
-    for name, specs in default_model_grids(seed):
-        if specs[0].kind == kind:
-            return specs
-    raise ContractError(f"no default candidates for kind {kind!r}")
+    return dict(default_model_grids(seed))[DISPLAY_NAMES[kind]]
 
 
 def _write_sidecar(path: Path, command: str, config: dict, wall_time_s: float) -> None:
@@ -302,11 +261,11 @@ def cmd_fit(args) -> int:
         chosen = candidates[0]
         scaler = fit_scaler(s)
         model = fit(chosen, scale(scaler, s))
-        model = _with(model, scaler=scaler, target=effective["target"])
+        model = replace(model, scaler=scaler, target=effective["target"])
         validation_mse = None
     else:
         chosen, model, validation_mse = grid_search(candidates, s, protocol)
-        model = _with(model, target=effective["target"])
+        model = replace(model, target=effective["target"])
     normalized = scale(model.scaler, s)
     actual, predicted = insample_predictions(model, normalized)
     out = _out_dir(effective)
@@ -370,14 +329,14 @@ def cmd_backtest(args) -> int:
     effective.update({"input": args.input, "grid": args.grid, "models": args.models})
     ds = parse_csv(_read_text(args.input), allow_corrections=args.allow_corrections)
     s = extract_series(ds, effective["target"])
-    kinds = list(KIND_CHOICES) if not args.models else [
+    kinds = list(KINDS) if not args.models else [
         k.strip() for k in args.models.split(",")
     ]
-    unknown = [k for k in kinds if k not in KIND_CHOICES]
+    unknown = [k for k in kinds if k not in KINDS]
     if unknown:
         raise UsageError(f"unknown model kinds: {', '.join(unknown)}")
     # keep the standard presentation order
-    kinds = [k for k in ("additive", "lstm", "autoreg", "arima", "mlp") if k in kinds]
+    kinds = [k for k in DISPLAY_NAMES if k in kinds]
     entries = [
         (DISPLAY_NAMES[k], _candidates_for(k, effective["seed"], args.grid)) for k in kinds
     ]
@@ -418,8 +377,14 @@ def cmd_plotdata(args) -> int:
             if len(row) != 4:
                 raise ParseError(f"bad forecast row in {fc_path}", line=lineno)
             day, target, model_label, value = row
+            try:
+                value = float(value)
+            except ValueError:
+                raise ParseError(
+                    f"non-numeric point_forecast {value!r} in {fc_path}", line=lineno
+                ) from None
             targets.add(target)
-            blocks.append((day, model_label, float(value)))
+            blocks.append((day, model_label, value))
     if len(targets) != 1:
         raise UsageError(
             f"forecast files must share one target, found: {sorted(targets) or 'none'}"
@@ -440,12 +405,6 @@ def cmd_plotdata(args) -> int:
     print(f"wrote {path}")
     _write_sidecar(path, "plotdata", effective, time.perf_counter() - t0)
     return EXIT_OK
-
-
-def _with(model, **replacements):
-    from dataclasses import replace
-
-    return replace(model, **replacements)
 
 
 def _read_text(path: str) -> str:

@@ -9,7 +9,8 @@ forecasts come back on the normalized scale.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Any, Callable
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .base import (
     LstmConfig,
     MlpConfig,
 )
+from . import additive, arima, autoreg, lstm, mlp
 from .additive import build_additive_design, fit_additive, forecast_additive, insample_additive
 from .arima import (
     arima_css_objective,
@@ -81,44 +83,68 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
+class Family:
+    """One forecaster kind: the type of its fitted params and its entry points.
+
+    fit(train, config, seed) returns a FittedModel, forecast(model, h) an
+    h-step array, insample(model, train) the (actual, predicted) pair.
+    """
+
+    params_type: type
+    fit: Callable[[Series, Any, int], FittedModel]
+    forecast: Callable[[FittedModel, int], np.ndarray]
+    insample: Callable[[FittedModel, Series], tuple[np.ndarray, np.ndarray]]
+
+
+# The entries look the family functions up in this module's namespace when they
+# are called, not when the table is built, so a wrapper installed on a module
+# attribute (perfbench's spans and ARIMA accounting do this) sees every call.
+FAMILIES = {
+    "autoreg": Family(
+        autoreg.ArParams,
+        lambda train, config, seed: fit_autoreg(train, config),
+        lambda model, h: forecast_autoreg(model, h),
+        lambda model, train: insample_autoreg(model, train),
+    ),
+    "arima": Family(
+        arima.ArimaParams,
+        lambda train, config, seed: fit_arima(train, config),
+        lambda model, h: forecast_arima(model, h),
+        lambda model, train: insample_arima(model, train),
+    ),
+    "lstm": Family(
+        lstm.LstmParameters,
+        lambda train, config, seed: train_lstm(train, config, seed),
+        lambda model, h: forecast_lstm(model, h),
+        lambda model, train: insample_lstm(model, train),
+    ),
+    "mlp": Family(
+        mlp.MlpParams,
+        lambda train, config, seed: fit_mlp(train, config, seed),
+        lambda model, h: forecast_mlp(model, h),
+        lambda model, train: insample_mlp(model, train),
+    ),
+    "additive": Family(
+        additive.AdditiveParams,
+        lambda train, config, seed: fit_additive(train, config),
+        lambda model, h: forecast_additive(model, h),
+        lambda model, train: insample_additive(model, train),
+    ),
+}
+
+
 def fit(spec: ForecasterSpec, train: Series) -> FittedModel:
-    """Dispatch to the family fitter; the returned model carries the full spec."""
-    if spec.kind == "autoreg":
-        model = fit_autoreg(train, spec.config)
-    elif spec.kind == "arima":
-        model = fit_arima(train, spec.config)
-    elif spec.kind == "lstm":
-        model = train_lstm(train, spec.config, spec.seed)
-    elif spec.kind == "mlp":
-        model = fit_mlp(train, spec.config, spec.seed)
-    else:
-        model = fit_additive(train, spec.config)
+    """Fit with the family's fitter; the returned model carries the full spec."""
+    model = FAMILIES[spec.kind].fit(train, spec.config, spec.seed)
     return replace(model, spec=spec)
 
 
 def forecast(model: FittedModel, h: int) -> np.ndarray:
     """h-step point forecast on the normalized scale."""
-    kind = model.spec.kind
-    if kind == "autoreg":
-        return forecast_autoreg(model, h)
-    if kind == "arima":
-        return forecast_arima(model, h)
-    if kind == "lstm":
-        return forecast_lstm(model, h)
-    if kind == "mlp":
-        return forecast_mlp(model, h)
-    return forecast_additive(model, h)
+    return FAMILIES[model.spec.kind].forecast(model, h)
 
 
 def insample_predictions(model: FittedModel, train: Series) -> tuple[np.ndarray, np.ndarray]:
     """(actual, predicted) one-step fitted values on the training frame."""
-    kind = model.spec.kind
-    if kind == "autoreg":
-        return insample_autoreg(model, train)
-    if kind == "arima":
-        return insample_arima(model, train)
-    if kind == "lstm":
-        return insample_lstm(model, train)
-    if kind == "mlp":
-        return insample_mlp(model, train)
-    return insample_additive(model, train)
+    return FAMILIES[model.spec.kind].insample(model, train)

@@ -9,9 +9,7 @@ from typing import Any
 import numpy as np
 
 from ..errors import ContractError
-from ..transform import DifferenceState, MinMaxScaler, IDENTITY_SCALER
-
-KINDS = ("autoreg", "arima", "lstm", "mlp", "additive")
+from ..transform import MinMaxScaler, IDENTITY_SCALER
 
 MAX_SEED = 2**64
 
@@ -97,13 +95,15 @@ class AdditiveConfig:
             raise ContractError("changepoint_penalty must be >= 0 and period > 0")
 
 
-_CONFIG_TYPES = {
+CONFIG_TYPES = {
     "autoreg": ArOrder,
     "arima": ArimaOrder,
     "lstm": LstmConfig,
     "mlp": MlpConfig,
     "additive": AdditiveConfig,
 }
+
+KINDS = tuple(CONFIG_TYPES)
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ class ForecasterSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ContractError(f"unknown forecaster kind {self.kind!r}")
-        expected = _CONFIG_TYPES[self.kind]
+        expected = CONFIG_TYPES[self.kind]
         if not isinstance(self.config, expected):
             raise ContractError(
                 f"{self.kind} expects a {expected.__name__}, got {type(self.config).__name__}"
@@ -139,7 +139,6 @@ class FittedModel:
     params: Any
     scaler: MinMaxScaler = IDENTITY_SCALER
     train_tail: np.ndarray = field(default_factory=lambda: np.empty(0))
-    diff_state: DifferenceState | None = None
     target: str | None = None
     train_end_date: date | None = None
 

@@ -8,120 +8,61 @@ truncated files are refused.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+import types
+from dataclasses import asdict, fields, is_dataclass
 from datetime import date
+from functools import cache
 from pathlib import Path
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from ..errors import ModelFileError
-from ..transform import DifferenceState, MinMaxScaler
-from .base import (
-    AdditiveConfig,
-    ArimaOrder,
-    ArOrder,
-    FittedModel,
-    ForecasterSpec,
-    LstmConfig,
-    MlpConfig,
-)
-from .additive import AdditiveParams
-from .arima import ArimaParams
-from .autoreg import ArParams
-from .lstm import LstmLayerParams, LstmParameters
-from .mlp import MlpParams
+from ..transform import MinMaxScaler
+from .base import CONFIG_TYPES, FittedModel, ForecasterSpec
 
 SCHEMA_VERSION = 1
 
-_CONFIG_TYPES = {
-    "autoreg": ArOrder,
-    "arima": ArimaOrder,
-    "lstm": LstmConfig,
-    "mlp": MlpConfig,
-    "additive": AdditiveConfig,
-}
+
+def _encode(value):
+    """Params dataclass -> JSON tree: arrays and tuples become lists, nested
+    dataclasses objects keyed in field order; scalars and None pass through."""
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    return value
 
 
-def _params_to_dict(kind: str, params) -> dict:
-    if kind == "autoreg":
-        return {"c": params.c, "phi": params.phi.tolist()}
-    if kind == "arima":
-        return {
-            "c": params.c,
-            "phi": params.phi.tolist(),
-            "theta": params.theta.tolist(),
-            "resid_tail": params.resid_tail.tolist(),
-            "warnings": list(params.warnings),
-        }
-    if kind == "lstm":
-        return {
-            "layers": [{"W": l.W.tolist(), "b": l.b.tolist()} for l in params.layers],
-            "head_w": params.head_w.tolist(),
-            "head_b": params.head_b,
-            "loss_history": list(params.loss_history),
-        }
-    if kind == "mlp":
-        return {
-            "hidden_w": None if params.hidden_w is None else params.hidden_w.tolist(),
-            "hidden_b": None if params.hidden_b is None else params.hidden_b.tolist(),
-            "out_w": params.out_w.tolist(),
-            "out_b": params.out_b,
-            "next_dow": params.next_dow,
-            "loss_history": list(params.loss_history),
-        }
-    if kind == "additive":
-        return {
-            "beta": params.beta.tolist(),
-            "changepoints": params.changepoints.tolist(),
-            "n_train": params.n_train,
-        }
-    raise ModelFileError(f"unknown forecaster kind {kind!r}")
+_field_types = cache(get_type_hints)  # annotations of a params dataclass, by field
 
 
-def _params_from_dict(kind: str, d: dict):
-    arr = lambda x: np.asarray(x, dtype=np.float64)  # noqa: E731
-    if kind == "autoreg":
-        return ArParams(c=float(d["c"]), phi=arr(d["phi"]))
-    if kind == "arima":
-        return ArimaParams(
-            c=float(d["c"]),
-            phi=arr(d["phi"]),
-            theta=arr(d["theta"]),
-            resid_tail=arr(d["resid_tail"]),
-            warnings=tuple(d["warnings"]),
-        )
-    if kind == "lstm":
-        return LstmParameters(
-            layers=tuple(
-                LstmLayerParams(W=arr(l["W"]), b=arr(l["b"])) for l in d["layers"]
-            ),
-            head_w=arr(d["head_w"]),
-            head_b=float(d["head_b"]),
-            loss_history=tuple(d["loss_history"]),
-        )
-    if kind == "mlp":
-        return MlpParams(
-            hidden_w=None if d["hidden_w"] is None else arr(d["hidden_w"]),
-            hidden_b=None if d["hidden_b"] is None else arr(d["hidden_b"]),
-            out_w=arr(d["out_w"]),
-            out_b=float(d["out_b"]),
-            next_dow=d["next_dow"],
-            loss_history=tuple(d["loss_history"]),
-        )
-    if kind == "additive":
-        return AdditiveParams(
-            beta=arr(d["beta"]),
-            changepoints=arr(d["changepoints"]),
-            n_train=int(d["n_train"]),
-        )
-    raise ModelFileError(f"unknown forecaster kind {kind!r}")
+def _decode(tp, value):
+    """Inverse of _encode, driven by the field annotations of the params type."""
+    if is_dataclass(tp):
+        return tp(**{name: _decode(ftp, value[name]) for name, ftp in _field_types(tp).items()})
+    if get_origin(tp) in (Union, types.UnionType):  # X | None
+        if value is None:
+            return None
+        (tp,) = [arg for arg in get_args(tp) if arg is not type(None)]
+    if tp is np.ndarray:
+        return np.asarray(value, dtype=np.float64)
+    if get_origin(tp) is tuple:
+        item_tp = get_args(tp)[0]
+        if is_dataclass(item_tp):
+            return tuple(_decode(item_tp, item) for item in value)
+        return tuple(value)  # scalars as read: loss histories run to thousands
+    if tp in (int, float):
+        return tp(value)
+    return value
 
 
 def model_to_dict(model: FittedModel) -> dict:
-    kind = model.spec.kind
     return {
         "schema_version": SCHEMA_VERSION,
-        "kind": kind,
+        "kind": model.spec.kind,
         "seed": model.spec.seed,
         "target": model.target,
         "train_end_date": (
@@ -129,36 +70,30 @@ def model_to_dict(model: FittedModel) -> dict:
         ),
         "config": asdict(model.spec.config),
         "scaler": {"min": model.scaler.min, "max": model.scaler.max},
-        "diff_state": (
-            None
-            if model.diff_state is None
-            else {"order": model.diff_state.order, "heads": list(model.diff_state.heads)}
-        ),
+        # always null: no fitter keeps a differencing state; the key is part of schema 1
+        "diff_state": None,
         "train_tail": model.train_tail.tolist(),
-        "params": _params_to_dict(kind, model.params),
+        "params": _encode(model.params),
     }
 
 
 def model_from_dict(doc: dict) -> FittedModel:
+    from . import FAMILIES  # the package imports this module before defining FAMILIES
+
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ModelFileError(f"unsupported model schema version {version!r}")
     try:
         kind = doc["kind"]
-        config_type = _CONFIG_TYPES[kind]
-        config = config_type(**doc["config"])
+        config = CONFIG_TYPES[kind](**doc["config"])
         spec = ForecasterSpec(kind, config, int(doc["seed"]))
-        diff = doc["diff_state"]
+        if doc["diff_state"] is not None:
+            raise ModelFileError(f"unsupported diff_state {doc['diff_state']!r}; expected null")
         return FittedModel(
             spec=spec,
-            params=_params_from_dict(kind, doc["params"]),
+            params=_decode(FAMILIES[kind].params_type, doc["params"]),
             scaler=MinMaxScaler(float(doc["scaler"]["min"]), float(doc["scaler"]["max"])),
             train_tail=np.asarray(doc["train_tail"], dtype=np.float64),
-            diff_state=(
-                None
-                if diff is None
-                else DifferenceState(order=int(diff["order"]), heads=tuple(diff["heads"]))
-            ),
             target=doc["target"],
             train_end_date=(
                 None
@@ -166,7 +101,8 @@ def model_from_dict(doc: dict) -> FittedModel:
                 else date.fromisoformat(doc["train_end_date"])
             ),
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    # ValueError includes the ContractError a config or spec check raises
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ModelFileError(f"malformed model file: {exc}") from exc
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from datetime import timedelta
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import Series
 from .errors import ContractError, DegenerateScaleError
@@ -85,14 +86,10 @@ def difference_values(values: np.ndarray, d: int) -> tuple[np.ndarray, Differenc
 
 
 def integrate_values(diffed: np.ndarray, state: DifferenceState) -> np.ndarray:
-    """Exact inverse of difference_values (sequential running sums)."""
+    """Exact inverse of difference_values (np.cumsum adds in sequence)."""
     out = np.asarray(diffed, dtype=np.float64)
     for head in reversed(state.heads):
-        levels = np.empty(out.size + 1, dtype=np.float64)
-        levels[0] = head
-        for i in range(out.size):
-            levels[i + 1] = levels[i] + out[i]
-        out = levels
+        out = np.cumsum(np.concatenate(([head], out)))
     return out
 
 
@@ -124,17 +121,9 @@ def integrate_forecast(diff_forecast: np.ndarray, level_tail: np.ndarray, d: int
         raise ContractError(f"need at least {d} trailing levels to integrate order {d}")
     out = np.asarray(diff_forecast, dtype=np.float64)
     for j in range(d, 0, -1):
-        # last observed value of the (j-1)-times-differenced series
-        tail = level_tail
-        for _ in range(j - 1):
-            tail = np.diff(tail)
-        anchor = float(tail[-1])
-        levels = np.empty_like(out)
-        running = anchor
-        for i in range(out.size):
-            running = running + out[i]
-            levels[i] = running
-        out = levels
+        # resume from the last observed value of the (j-1)-times-differenced series
+        anchor = np.diff(level_tail, n=j - 1)[-1]
+        out = np.cumsum(np.concatenate(([anchor], out)))[1:]
     return out
 
 
@@ -164,7 +153,5 @@ def make_windows(s: Series, w: int) -> WindowSet:
     if n <= w:
         raise ContractError(f"series of length {n} has no complete window of {w} + target")
     v = s.values
-    inputs = np.empty((n - w, w), dtype=np.float64)
-    for i in range(n - w):
-        inputs[i] = v[i : i + w]
+    inputs = sliding_window_view(v[:-1], w).copy()
     return WindowSet(inputs=inputs, targets=v[w:].copy(), window=w)

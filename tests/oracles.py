@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from epiforecast.forecasters.additive import AdditiveParams
+from epiforecast.forecasters.arima import ArimaParams
+from epiforecast.forecasters.autoreg import ArParams
 from epiforecast.forecasters.base import LstmConfig
 from epiforecast.forecasters.lstm import (
     LstmLayerParams,
@@ -213,3 +216,121 @@ def mlp_gradcheck_max_rel_err(seed: int) -> float:
         fd = (loss(bump(field, idx, FD_EPS)) - loss(bump(field, idx, -FD_EPS))) / (2 * FD_EPS)
         worst = max(worst, abs(fd - analytic) / max(1.0, abs(analytic)))
     return worst
+
+
+# --- Model-file params codec reference ---------------------------------------
+# The hand-written per-kind codec the generic dataclass walk in
+# forecasters/serialize.py replaced; model files must stay byte-identical to it.
+
+
+def oracle_params_to_dict(kind: str, params) -> dict:
+    if kind == "autoreg":
+        return {"c": params.c, "phi": params.phi.tolist()}
+    if kind == "arima":
+        return {
+            "c": params.c,
+            "phi": params.phi.tolist(),
+            "theta": params.theta.tolist(),
+            "resid_tail": params.resid_tail.tolist(),
+            "warnings": list(params.warnings),
+        }
+    if kind == "lstm":
+        return {
+            "layers": [{"W": l.W.tolist(), "b": l.b.tolist()} for l in params.layers],
+            "head_w": params.head_w.tolist(),
+            "head_b": params.head_b,
+            "loss_history": list(params.loss_history),
+        }
+    if kind == "mlp":
+        return {
+            "hidden_w": None if params.hidden_w is None else params.hidden_w.tolist(),
+            "hidden_b": None if params.hidden_b is None else params.hidden_b.tolist(),
+            "out_w": params.out_w.tolist(),
+            "out_b": params.out_b,
+            "next_dow": params.next_dow,
+            "loss_history": list(params.loss_history),
+        }
+    return {
+        "beta": params.beta.tolist(),
+        "changepoints": params.changepoints.tolist(),
+        "n_train": params.n_train,
+    }
+
+
+def oracle_params_from_dict(kind: str, d: dict):
+    arr = lambda x: np.asarray(x, dtype=np.float64)  # noqa: E731
+    if kind == "autoreg":
+        return ArParams(c=float(d["c"]), phi=arr(d["phi"]))
+    if kind == "arima":
+        return ArimaParams(
+            c=float(d["c"]),
+            phi=arr(d["phi"]),
+            theta=arr(d["theta"]),
+            resid_tail=arr(d["resid_tail"]),
+            warnings=tuple(d["warnings"]),
+        )
+    if kind == "lstm":
+        return LstmParameters(
+            layers=tuple(
+                LstmLayerParams(W=arr(l["W"]), b=arr(l["b"])) for l in d["layers"]
+            ),
+            head_w=arr(d["head_w"]),
+            head_b=float(d["head_b"]),
+            loss_history=tuple(d["loss_history"]),
+        )
+    if kind == "mlp":
+        return MlpParams(
+            hidden_w=None if d["hidden_w"] is None else arr(d["hidden_w"]),
+            hidden_b=None if d["hidden_b"] is None else arr(d["hidden_b"]),
+            out_w=arr(d["out_w"]),
+            out_b=float(d["out_b"]),
+            next_dow=d["next_dow"],
+            loss_history=tuple(d["loss_history"]),
+        )
+    return AdditiveParams(
+        beta=arr(d["beta"]),
+        changepoints=arr(d["changepoints"]),
+        n_train=int(d["n_train"]),
+    )
+
+
+# --- Transform loops reference -----------------------------------------------
+
+
+def oracle_integrate_values(diffed, heads):
+    """Undo len(heads) difference passes with explicit running sums."""
+    out = np.asarray(diffed, dtype=np.float64)
+    for head in reversed(heads):
+        levels = np.empty(out.size + 1, dtype=np.float64)
+        levels[0] = head
+        for i in range(out.size):
+            levels[i + 1] = levels[i] + out[i]
+        out = levels
+    return out
+
+
+def oracle_integrate_forecast(diff_forecast, level_tail, d):
+    """Integrate d-times-differenced forecasts, resuming each pass's running
+    sum from the last observed value of the matching differenced series."""
+    level_tail = np.asarray(level_tail, dtype=np.float64)
+    out = np.asarray(diff_forecast, dtype=np.float64)
+    for j in range(d, 0, -1):
+        tail = level_tail
+        for _ in range(j - 1):
+            tail = np.diff(tail)
+        running = float(tail[-1])
+        levels = np.empty_like(out)
+        for i in range(out.size):
+            running = running + out[i]
+            levels[i] = running
+        out = levels
+    return out
+
+
+def oracle_windows(values, w):
+    """Row i holds values[i : i + w]; its target is values[i + w]."""
+    v = np.asarray(values, dtype=np.float64)
+    inputs = np.empty((v.size - w, w), dtype=np.float64)
+    for i in range(v.size - w):
+        inputs[i] = v[i : i + w]
+    return inputs, v[w:].copy()

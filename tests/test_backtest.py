@@ -23,7 +23,8 @@ from epiforecast.backtest import (
 )
 from epiforecast.data import train_test_split
 from epiforecast.errors import ContractError, ExhaustedGridError
-from epiforecast.forecasters import ForecasterSpec, fit, forecast
+import epiforecast.forecasters as fc
+from epiforecast.forecasters import FAMILIES, KINDS, ForecasterSpec, fit, forecast
 from epiforecast.forecasters.base import ArOrder, LstmConfig
 from epiforecast.metrics import mse
 from epiforecast.transform import fit_scaler, scale
@@ -261,3 +262,43 @@ def test_fitting_and_selection_never_touch_test_indices(monkeypatch):
         assert arg.end_date <= train.end_date
         if name == "fit_scaler":  # raw values: must be the exact prefix
             assert arg.values.tolist() == s.values[: len(arg)].tolist()
+
+
+def test_every_kind_has_family_display_name_and_default_grid():
+    assert set(FAMILIES) == set(KINDS)
+    assert set(DISPLAY_NAMES) == set(KINDS)
+    grid_kinds = [specs[0].kind for _, specs in default_model_grids()]
+    assert sorted(grid_kinds) == sorted(KINDS)
+
+
+def test_foreign_exception_becomes_error_row_and_others_score(monkeypatch):
+    def broken_fit(train, order):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    # replaced on the package, where the family registry looks it up per call
+    monkeypatch.setattr(fc, "fit_autoreg", broken_fit)
+    entries = [e for e in default_model_grids(0) if e[0] in ("Prophet", "AUTO REG")]
+    entries.append(("AR ONE", [ForecasterSpec("autoreg", ArOrder(2), 0)]))
+    report = compare_models(entries, wiggly_series(100))
+    prophet, autoreg, single = report.rows
+    assert prophet.error is None and prophet.mse_test is not None
+    assert autoreg.error == (
+        f"all {len(AUTOREG_DEFAULT_P)} grid candidates failed; "
+        "last: LinAlgError: SVD did not converge"
+    )
+    assert single.error == "LinAlgError: SVD did not converge"
+
+
+def test_grid_search_skips_candidate_with_foreign_exception(monkeypatch):
+    real = fc.fit_autoreg
+
+    def flaky_fit(train, order):
+        if order.p == 1:
+            raise FloatingPointError("overflow")
+        return real(train, order)
+
+    monkeypatch.setattr(fc, "fit_autoreg", flaky_fit)
+    candidates = [ForecasterSpec("autoreg", ArOrder(p), 0) for p in (1, 2)]
+    chosen, model, score = grid_search(candidates, wiggly_series(100))
+    assert chosen.config == ArOrder(2)
+    assert np.isfinite(score)

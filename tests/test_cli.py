@@ -323,3 +323,46 @@ def test_default_horizon_is_180_days(tmp_path, capsys):
     capsys.readouterr()
     with open(out / "forecast.csv", newline="") as fh:
         assert len(list(csv.reader(fh))) == 1 + 180
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        (None, "train_end_date", "garbage"),
+        ("params", "c", "abc"),
+        ("config", "p", 0),
+    ],
+    ids=["bad-date", "non-numeric-param", "config-check"],
+)
+def test_malformed_model_file_values_are_model_errors(tmp_path, capsys, section, key, value):
+    _, model_path = fitted_model_file(tmp_path, capsys)
+    doc = json.loads(model_path.read_text())
+    (doc if section is None else doc[section])[key] = value
+    model_path.write_text(json.dumps(doc))
+    assert main(["forecast", "--model-file", str(model_path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed model file: ")
+    assert "Traceback" not in err
+
+
+def test_plotdata_non_numeric_forecast_is_data_error(tmp_path, capsys):
+    data = make_csv(tmp_path / "data.csv")
+    fc = tmp_path / "fc.csv"
+    fc.write_text(
+        "date,target,model,point_forecast\n"
+        "2020-04-01,deaths,arima,1.0\n"
+        "2020-04-02,deaths,arima,lots\n"
+    )
+    code = main(["plotdata", "--input", str(data), "--forecast", str(fc), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: non-numeric point_forecast 'lots'")
+    assert "Traceback" not in err
+
+
+def test_unknown_autoreg_grid_field_is_usage_error(tmp_path, capsys):
+    data = make_csv(tmp_path / "data.csv")
+    grid = write_grid(tmp_path / "grid.ini", "[autoreg]\np = 1, 2\nq = 1\n")
+    args = ["fit", "--input", str(data), "--model", "autoreg", "--grid", str(grid)]
+    assert main(args + ["--out", str(tmp_path)]) == 1
+    assert "unknown fields ['q'] in grid section [autoreg]" in capsys.readouterr().err

@@ -17,6 +17,7 @@ from epiforecast.forecasters.base import (
 )
 from epiforecast.forecasters.serialize import SCHEMA_VERSION, model_from_dict, model_to_dict
 from epiforecast.transform import MinMaxScaler
+from oracles import oracle_params_from_dict, oracle_params_to_dict
 from support import series
 
 SPECS = [
@@ -101,3 +102,76 @@ def test_malformed_json_and_wrong_shape(tmp_path):
 def test_missing_file_is_model_file_error(tmp_path):
     with pytest.raises(ModelFileError):
         load_model(tmp_path / "absent.json")
+
+
+CODEC_SPECS = SPECS + [
+    ForecasterSpec("arima", ArimaOrder(3, 0, 2), 0),
+    ForecasterSpec("mlp", MlpConfig(window=3, hidden_units=0, epochs=20, learning_rate=0.05), 3),
+    ForecasterSpec(
+        "mlp",
+        MlpConfig(window=3, hidden_units=0, epochs=20, learning_rate=0.05, seasonal=True),
+        3,
+    ),
+]
+
+
+def assert_same_tree(a, b):
+    """Equal types all the way down; arrays equal in dtype, shape and bits."""
+    assert type(a) is type(b)
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    elif isinstance(a, tuple):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same_tree(x, y)
+    elif hasattr(a, "__dataclass_fields__"):
+        for name in a.__dataclass_fields__:
+            assert_same_tree(getattr(a, name), getattr(b, name))
+    else:
+        assert a == b
+
+
+@pytest.mark.parametrize(
+    "spec", CODEC_SPECS, ids=lambda s: f"{s.kind}-{'-'.join(map(str, vars(s.config).values()))}"
+)
+def test_generic_params_codec_matches_hand_written_codec(spec):
+    model = fit(spec, small_series())
+    doc = model_to_dict(model)
+    expected = oracle_params_to_dict(spec.kind, model.params)
+    assert json.dumps(doc["params"], indent=2) == json.dumps(expected, indent=2)
+    # decode what the file holds, as the loader does
+    stored = json.loads(json.dumps(doc))
+    decoded = model_from_dict(stored).params
+    assert_same_tree(decoded, oracle_params_from_dict(spec.kind, stored["params"]))
+    assert_same_tree(decoded, model.params)
+
+
+def test_diff_state_must_be_null(tmp_path):
+    model = fit(SPECS[0], small_series())
+    doc = model_to_dict(model)
+    assert doc["diff_state"] is None
+    doc["diff_state"] = {"order": 1, "heads": [0.5]}
+    with pytest.raises(ModelFileError, match="diff_state"):
+        model_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("train_end_date",), "garbage"),
+        (("params", "c"), "abc"),
+        (("params", "phi"), [[1.0], [2.0, 3.0]]),
+        (("config", "p"), 0),
+        (("seed",), -1),
+    ],
+    ids=["date", "float", "ragged-array", "config-check", "seed-range"],
+)
+def test_bad_values_are_model_file_errors(path, value):
+    doc = model_to_dict(fit(SPECS[0], small_series()))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ModelFileError, match="malformed model file"):
+        model_from_dict(doc)

@@ -23,6 +23,7 @@ from epiforecast.transform import (
     make_windows,
     scale,
 )
+from oracles import oracle_integrate_forecast, oracle_integrate_values, oracle_windows
 from support import START, series
 
 finite_values = st.floats(
@@ -186,3 +187,32 @@ def test_windows_reconstruct_series_property(values, w):
     # each row is the w values preceding its target
     for i in range(len(ws)):
         assert ws.inputs[i].tolist() == s.values[i : i + w].tolist()
+
+
+@given(
+    st.lists(finite_values, min_size=0, max_size=40),
+    st.lists(finite_values, min_size=3, max_size=3),
+    st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_vectorized_integration_matches_loop_oracles_bit_for_bit(diffed, tail, d):
+    diffed = np.array(diffed, dtype=np.float64)
+    heads = tuple(tail[:d])
+    state = DifferenceState(order=d, heads=heads)
+    assert np.array_equal(integrate_values(diffed, state), oracle_integrate_values(diffed, heads))
+    out = integrate_forecast(diffed, np.array(tail), d)
+    assert np.array_equal(out, oracle_integrate_forecast(diffed, tail, d))
+
+
+@given(
+    st.lists(finite_values, min_size=2, max_size=40),
+    st.integers(min_value=1, max_value=10),
+)
+@settings(max_examples=200, deadline=None)
+def test_vectorized_windows_match_loop_oracle(values, w):
+    if len(values) <= w:
+        return
+    ws = make_windows(series(values), w)
+    inputs, targets = oracle_windows(values, w)
+    assert np.array_equal(ws.inputs, inputs) and np.array_equal(ws.targets, targets)
+    assert ws.inputs.flags.owndata and ws.inputs.flags.writeable
