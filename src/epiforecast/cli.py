@@ -24,6 +24,9 @@ from typing import get_type_hints
 
 from . import __version__
 from .backtest import (
+    ARIMA_DEFAULT_D,
+    ARIMA_DEFAULT_P_MAX,
+    ARIMA_DEFAULT_Q_MAX,
     DISPLAY_NAMES,
     EvalProtocol,
     compare_models,
@@ -193,16 +196,17 @@ def _grid_overrides(path: str, seed: int) -> dict[str, list[ForecasterSpec]]:
 
 def _grid_section(ini: configparser.ConfigParser, kind: str, seed: int) -> list[ForecasterSpec]:
     options = {k: [v.strip() for v in raw.split(",")] for k, raw in ini.items(kind)}
-    if kind == "arima":
-        p_max = int(options.get("p_max", ["5"])[0])
-        q_max = int(options.get("q_max", ["5"])[0])
-        ds = [int(v) for v in options.get("d", ["0", "1"])]
-        return [ForecasterSpec("arima", order, seed) for order in arima_orders(p_max, q_max, ds)]
     config_type = CONFIG_TYPES[kind]
     types = get_type_hints(config_type)
-    unknown = set(options) - set(types)
+    known = ("p_max", "q_max", "d") if kind == "arima" else types
+    unknown = set(options) - set(known)
     if unknown:
         raise UsageError(f"unknown fields {sorted(unknown)} in grid section [{kind}]")
+    if kind == "arima":
+        p_max = int(options["p_max"][0]) if "p_max" in options else ARIMA_DEFAULT_P_MAX
+        q_max = int(options["q_max"][0]) if "q_max" in options else ARIMA_DEFAULT_Q_MAX
+        ds = [int(v) for v in options["d"]] if "d" in options else ARIMA_DEFAULT_D
+        return [ForecasterSpec("arima", order, seed) for order in arima_orders(p_max, q_max, ds)]
     missing = [
         f.name
         for f in fields(config_type)
@@ -215,11 +219,13 @@ def _grid_section(ini: configparser.ConfigParser, kind: str, seed: int) -> list[
     return expand_grid(kind, grid, seed)
 
 
-def _candidates_for(kind: str, seed: int, grid_path: str | None) -> list[ForecasterSpec]:
-    overrides = _grid_overrides(grid_path, seed) if grid_path else {}
-    if kind in overrides:
-        return overrides[kind]
-    return dict(default_model_grids(seed))[DISPLAY_NAMES[kind]]
+def _candidate_grids(seed: int, grid_path: str | None) -> dict[str, list[ForecasterSpec]]:
+    """Candidates per kind: the default grids, each replaced by its --grid section."""
+    defaults = dict(default_model_grids(seed))
+    grids = {kind: defaults[name] for kind, name in DISPLAY_NAMES.items()}
+    if grid_path:
+        grids.update(_grid_overrides(grid_path, seed))
+    return grids
 
 
 def _write_sidecar(path: Path, command: str, config: dict, wall_time_s: float) -> None:
@@ -255,7 +261,7 @@ def cmd_fit(args) -> int:
     effective.update({"input": args.input, "model": args.model, "grid": args.grid})
     ds = parse_csv(_read_text(args.input), allow_corrections=args.allow_corrections)
     s = extract_series(ds, effective["target"])
-    candidates = _candidates_for(args.model, effective["seed"], args.grid)
+    candidates = _candidate_grids(effective["seed"], args.grid)[args.model]
     protocol = EvalProtocol(test_fraction=effective["test_fraction"])
     if len(candidates) == 1:
         chosen = candidates[0]
@@ -337,9 +343,8 @@ def cmd_backtest(args) -> int:
         raise UsageError(f"unknown model kinds: {', '.join(unknown)}")
     # keep the standard presentation order
     kinds = [k for k in DISPLAY_NAMES if k in kinds]
-    entries = [
-        (DISPLAY_NAMES[k], _candidates_for(k, effective["seed"], args.grid)) for k in kinds
-    ]
+    grids = _candidate_grids(effective["seed"], args.grid)
+    entries = [(DISPLAY_NAMES[k], grids[k]) for k in kinds]
     protocol = EvalProtocol(test_fraction=effective["test_fraction"])
     report = compare_models(entries, s, protocol, target=effective["target"])
     print(render_table(report))

@@ -89,12 +89,17 @@ class Family:
 
     fit(train, config, seed) returns a FittedModel, forecast(model, h) an
     h-step array, insample(model, train) the (actual, predicted) pair.
+    tail_length(config) is the number of trailing training values the fitter
+    keeps in train_tail; check_params(params, config) raises ValueError when
+    loaded params do not have the shapes the config implies.
     """
 
     params_type: type
     fit: Callable[[Series, Any, int], FittedModel]
     forecast: Callable[[FittedModel, int], np.ndarray]
     insample: Callable[[FittedModel, Series], tuple[np.ndarray, np.ndarray]]
+    tail_length: Callable[[Any], int]
+    check_params: Callable[[Any, Any], None] = lambda params, config: None
 
 
 # The entries look the family functions up in this module's namespace when they
@@ -106,30 +111,37 @@ FAMILIES = {
         lambda train, config, seed: fit_autoreg(train, config),
         lambda model, h: forecast_autoreg(model, h),
         lambda model, train: insample_autoreg(model, train),
+        lambda order: order.p,
+        autoreg.check_ar_params,
     ),
     "arima": Family(
         arima.ArimaParams,
         lambda train, config, seed: fit_arima(train, config),
         lambda model, h: forecast_arima(model, h),
         lambda model, train: insample_arima(model, train),
+        lambda order: order.p + order.d + 1,
     ),
     "lstm": Family(
         lstm.LstmParameters,
         lambda train, config, seed: train_lstm(train, config, seed),
         lambda model, h: forecast_lstm(model, h),
         lambda model, train: insample_lstm(model, train),
+        lambda config: config.window,
+        lstm.check_lstm_parameters,
     ),
     "mlp": Family(
         mlp.MlpParams,
         lambda train, config, seed: fit_mlp(train, config, seed),
         lambda model, h: forecast_mlp(model, h),
         lambda model, train: insample_mlp(model, train),
+        lambda config: config.window,
     ),
     "additive": Family(
         additive.AdditiveParams,
         lambda train, config, seed: fit_additive(train, config),
         lambda model, h: forecast_additive(model, h),
         lambda model, train: insample_additive(model, train),
+        lambda config: 1,
     ),
 }
 

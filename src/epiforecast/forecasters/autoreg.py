@@ -44,6 +44,12 @@ def fit_autoreg(train: Series, order: ArOrder) -> FittedModel:
     )
 
 
+def check_ar_params(params: ArParams, order: ArOrder) -> None:
+    """Raise ValueError unless phi holds one coefficient per lag of the order."""
+    if params.phi.shape != (order.p,):
+        raise ValueError(f"phi has shape {params.phi.shape}, AR({order.p}) needs ({order.p},)")
+
+
 def forecast_autoreg(model: FittedModel, h: int) -> np.ndarray:
     if h < 1:
         raise ContractError("forecast horizon must be >= 1")

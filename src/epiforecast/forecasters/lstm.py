@@ -10,6 +10,32 @@ candidate):
 Windows feed one value per step; a linear head reads the final hidden state
 of the top layer. Backpropagation through time is exact; gradients are
 checked against central finite differences in the test suite.
+
+Batch kernel layout. Training cost is per-op dispatch on small arrays, and an
+op on a strided gate slice costs several times one on a contiguous block, so
+_forward_batch and _backward_batch keep every per-step gate array unit-major,
+(units, batch), C-contiguous. Per layer, the step inputs [x_t, h_{t-1}] of
+all windows fill one preallocated buffer Z (window + 1, batch, d + u), and each
+new h is written into the next row. Each step takes a = Z[t] @ W.T + b, one
+transposed copy of a, one sigmoid call over its input, forget and output rows
+and one tanh over the candidate rows. Backward writes [di, df, do, dg] into one
+(4u, batch) buffer and scales the three sigmoid blocks in place.
+
+The kernel reproduces the batch-major version it replaced bit for bit (the
+test suite keeps that version as an oracle), which holds because:
+  * every matrix product keeps its operands, shapes and memory layout, since
+    OpenBLAS picks its kernel, and so its summation order, from them:
+    Z[t] (batch, d + u) C-contiguous against the W.T view, da.T @ Z[t] and
+    da @ W with da (batch, 4u) C-contiguous, and a head input h_last that is
+    contiguous only when window = 1, like the last step of a
+    (batch, window, u) sequence;
+  * the reductions da.sum(axis=0), np.sum(d_preds) and err @ err are unchanged;
+  * elementwise ops keep their operand order, e.g. (f * c) + (i * g),
+    (di * i) * (1 - i) and dc + (dh * o) * (1 - tanh_c * tanh_c); layout does
+    not change an elementwise result.
+Splitting W into input and recurrent blocks, one stacked gemm over all steps
+for dW, or stacking candidates into one model would change summation orders,
+so none of them is done here.
 """
 
 from __future__ import annotations
@@ -116,32 +142,40 @@ def lstm_cell_step(
 
 
 def _forward_batch(params: LstmParameters, X: np.ndarray):
-    """Run a (batch, window) input matrix through all layers, caching activations."""
+    """Run a (batch, window) input matrix through all layers, caching activations.
+
+    Per layer the cache holds Z, whose row t is the step input [x_t, h_{t-1}]
+    for every window and whose last row carries the final h, plus one
+    (s, g, c_prev, tanh_c) tuple per step in (units, batch) layout.
+    """
     B, w = X.shape
-    layer_inputs = X[:, :, None]  # (B, w, 1)
+    below = X.T[:, :, None]  # (w, B, d): the layer's input at every step
     caches = []
     for layer in params.layers:
         u = layer.units
-        h = np.zeros((B, u))
-        c = np.zeros((B, u))
+        d = layer.input_dim
+        Z = np.empty((w + 1, B, d + u))
+        Z[:w, :, :d] = below
+        Z[0, :, d:] = 0.0
+        c = np.zeros((u, B))
         steps = []
-        hs = np.empty((B, w, u))
         for t in range(w):
-            z = np.concatenate([layer_inputs[:, t, :], h], axis=1)
-            a = z @ layer.W.T + layer.b
-            i = _sigmoid(a[:, :u])
-            f = _sigmoid(a[:, u : 2 * u])
-            o = _sigmoid(a[:, 2 * u : 3 * u])
-            g = np.tanh(a[:, 3 * u :])
+            a = Z[t] @ layer.W.T + layer.b
+            aT = a.T.copy()
+            s = _sigmoid(aT[: 3 * u])
+            g = np.tanh(aT[3 * u :])
+            i, f, o = s[:u], s[u : 2 * u], s[2 * u :]
             c_new = f * c + i * g
             tanh_c = np.tanh(c_new)
-            h_new = o * tanh_c
-            steps.append((z, i, f, o, g, c, tanh_c))
-            h, c = h_new, c_new
-            hs[:, t, :] = h
-        caches.append(steps)
-        layer_inputs = hs
-    h_last = layer_inputs[:, -1, :]
+            Z[t + 1, :, d:] = (o * tanh_c).T
+            steps.append((s, g, c, tanh_c))
+            c = c_new
+        caches.append((Z, steps))
+        below = Z[1:, :, d:]
+    # h_last is contiguous only when w = 1, like the last step of a (B, w, u)
+    # sequence: at u = 1, h_last.T @ d_preds is an OpenBLAS dot product, which
+    # sums a contiguous vector in another order than a strided one
+    h_last = below[-1] if w > 1 else below[-1].copy()
     preds = h_last @ params.head_w + params.head_b
     return preds, (caches, h_last)
 
@@ -151,49 +185,48 @@ def _backward_batch(params: LstmParameters, cache, d_preds: np.ndarray) -> LstmG
     caches, h_last = cache
     grad_head_w = h_last.T @ d_preds
     grad_head_b = float(np.sum(d_preds))
-    d_h_inject = d_preds[:, None] * params.head_w[None, :]
+    d_h_inject = d_preds[None, :] * params.head_w[:, None]
 
+    top = len(params.layers) - 1
     layer_grads: list[LstmLayerParams] = [None] * len(params.layers)  # type: ignore[list-item]
     d_inputs_above: list[np.ndarray] | None = None
-    for li in range(len(params.layers) - 1, -1, -1):
+    for li in range(top, -1, -1):
         layer = params.layers[li]
-        steps = caches[li]
+        Z, steps = caches[li]
         u = layer.units
-        d_in = layer.input_dim
-        B = steps[0][0].shape[0]
+        d = layer.input_dim
+        B = Z.shape[1]
         w = len(steps)
         dW = np.zeros_like(layer.W)
         db = np.zeros_like(layer.b)
-        dh = np.zeros((B, u))
-        dc = np.zeros((B, u))
-        d_inputs = [None] * w  # gradient w.r.t. this layer's inputs, per step
+        dh = np.zeros((u, B))
+        dc = np.zeros((u, B))
+        daT = np.empty((4 * u, B))
+        d_gates, d_cand = daT[: 3 * u], daT[3 * u :]
+        d_inputs = [None] * w  # gradient w.r.t. this layer's inputs, per step, (d, B)
         for t in range(w - 1, -1, -1):
-            z, i, f, o, g, c_prev, tanh_c = steps[t]
+            s, g, c_prev, tanh_c = steps[t]
+            i, f, o = s[:u], s[u : 2 * u], s[2 * u :]
             dh_t = dh
-            if li == len(params.layers) - 1:
+            if li == top:
                 if t == w - 1:
                     dh_t = dh_t + d_h_inject
             else:
                 dh_t = dh_t + d_inputs_above[t]
             dc_t = dc + dh_t * o * (1.0 - tanh_c * tanh_c)
-            do = dh_t * tanh_c
-            di = dc_t * g
-            dg = dc_t * i
-            df = dc_t * c_prev
-            da = np.concatenate(
-                [
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    do * o * (1.0 - o),
-                    dg * (1.0 - g * g),
-                ],
-                axis=1,
-            )
-            dW += da.T @ z
+            np.multiply(dc_t, g, out=daT[:u])  # di
+            np.multiply(dc_t, c_prev, out=daT[u : 2 * u])  # df
+            np.multiply(dh_t, tanh_c, out=daT[2 * u : 3 * u])  # do
+            d_gates *= s
+            d_gates *= 1.0 - s
+            np.multiply(dc_t, i, out=d_cand)  # dg
+            d_cand *= 1.0 - g * g
+            da = daT.T.copy()
+            dW += da.T @ Z[t]
             db += da.sum(axis=0)
-            dz = da @ layer.W
-            d_inputs[t] = dz[:, :d_in]
-            dh = dz[:, d_in:]
+            dzT = (da @ layer.W).T.copy()
+            d_inputs[t] = dzT[:d]
+            dh = dzT[d:]
             dc = dc_t * f
         layer_grads[li] = LstmLayerParams(W=dW, b=db)
         d_inputs_above = d_inputs
@@ -212,6 +245,25 @@ def lstm_forward(params: LstmParameters, window: np.ndarray):
 def lstm_backward(params: LstmParameters, cache, d_prediction: float) -> LstmGradients:
     """Gradients of the loss contribution given dLoss/dprediction for one window."""
     return _backward_batch(params, cache, np.array([d_prediction], dtype=np.float64))
+
+
+def check_lstm_parameters(params: LstmParameters, config: LstmConfig) -> None:
+    """Raise ValueError unless params has the layer count and shapes config implies:
+    W (4u, d + u) and b (4u,) per layer, with d = 1 for the first layer and u
+    above it, and head_w (u,)."""
+    u = config.num_units
+    if len(params.layers) != config.layers:
+        raise ValueError(f"{len(params.layers)} LSTM layers, the config has {config.layers}")
+    d = 1
+    for k, layer in enumerate(params.layers):
+        if layer.W.shape != (4 * u, d + u) or layer.b.shape != (4 * u,):
+            raise ValueError(
+                f"LSTM layer {k}: W {layer.W.shape} and b {layer.b.shape}, "
+                f"the config needs {(4 * u, d + u)} and {(4 * u,)}"
+            )
+        d = u
+    if params.head_w.shape != (u,):
+        raise ValueError(f"LSTM head_w has shape {params.head_w.shape}, the config needs {(u,)}")
 
 
 def init_lstm_parameters(config: LstmConfig, rng: np.random.Generator) -> LstmParameters:
@@ -246,7 +298,9 @@ def train_lstm(train: Series, config: LstmConfig, seed: int = 0) -> FittedModel:
     params = init_lstm_parameters(config, rng)
 
     batch = n if config.batch_size == 0 else min(config.batch_size, n)
-    preds, _ = _forward_batch(params, X)
+    # the full-batch caches are dropped at once: kept alive through training,
+    # they doubled the trainer's peak memory
+    preds = _forward_batch(params, X)[0]
     initial_mse = float(np.mean((preds - y) ** 2))
     losses = [initial_mse]
     lr = config.learning_rate
@@ -281,7 +335,7 @@ def train_lstm(train: Series, config: LstmConfig, seed: int = 0) -> FittedModel:
                 raise DivergenceError(f"LSTM training diverged at epoch {epoch + 1}")
             losses.append(epoch_loss)
 
-        preds, _ = _forward_batch(params, X)
+        preds = _forward_batch(params, X)[0]
         final_mse = float(np.mean((preds - y) ** 2))
     if not np.isfinite(final_mse):
         raise DivergenceError(f"LSTM training diverged at epoch {config.epochs}")

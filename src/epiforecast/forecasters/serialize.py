@@ -89,11 +89,20 @@ def model_from_dict(doc: dict) -> FittedModel:
         spec = ForecasterSpec(kind, config, int(doc["seed"]))
         if doc["diff_state"] is not None:
             raise ModelFileError(f"unsupported diff_state {doc['diff_state']!r}; expected null")
+        family = FAMILIES[kind]
+        params = _decode(family.params_type, doc["params"])
+        family.check_params(params, config)
+        train_tail = np.asarray(doc["train_tail"], dtype=np.float64)
+        tail_shape = (family.tail_length(config),)
+        if train_tail.shape != tail_shape:
+            raise ValueError(
+                f"train_tail has shape {train_tail.shape}, the {kind} config needs {tail_shape}"
+            )
         return FittedModel(
             spec=spec,
-            params=_decode(FAMILIES[kind].params_type, doc["params"]),
+            params=params,
             scaler=MinMaxScaler(float(doc["scaler"]["min"]), float(doc["scaler"]["max"])),
-            train_tail=np.asarray(doc["train_tail"], dtype=np.float64),
+            train_tail=train_tail,
             target=doc["target"],
             train_end_date=(
                 None

@@ -15,6 +15,7 @@ from epiforecast.forecasters.arima import ArimaParams
 from epiforecast.forecasters.autoreg import ArParams
 from epiforecast.forecasters.base import LstmConfig
 from epiforecast.forecasters.lstm import (
+    LstmGradients,
     LstmLayerParams,
     LstmParameters,
     init_lstm_parameters,
@@ -167,6 +168,136 @@ def lstm_gradcheck_max_rel_err(seed: int) -> float:
         fd = (up - dn) / (2 * FD_EPS)
         worst = max(worst, abs(fd - analytic) / max(1.0, abs(analytic)))
     return worst
+
+
+# --- LSTM batch kernel reference --------------------------------------------
+# The batch-major forward and backward passes the unit-major kernel in
+# forecasters/lstm.py replaced; the kernel must reproduce them bit for bit.
+
+
+def _oracle_sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def oracle_lstm_forward_batch(params, X):
+    """(B, w) windows -> (preds, cache): one concatenate and three sigmoid
+    calls per step on (B, u) gate slices of the (B, 4u) pre-activations."""
+    B, w = X.shape
+    layer_inputs = X[:, :, None]  # (B, w, 1)
+    caches = []
+    for layer in params.layers:
+        u = layer.units
+        h = np.zeros((B, u))
+        c = np.zeros((B, u))
+        steps = []
+        hs = np.empty((B, w, u))
+        for t in range(w):
+            z = np.concatenate([layer_inputs[:, t, :], h], axis=1)
+            a = z @ layer.W.T + layer.b
+            i = _oracle_sigmoid(a[:, :u])
+            f = _oracle_sigmoid(a[:, u : 2 * u])
+            o = _oracle_sigmoid(a[:, 2 * u : 3 * u])
+            g = np.tanh(a[:, 3 * u :])
+            c_new = f * c + i * g
+            tanh_c = np.tanh(c_new)
+            h_new = o * tanh_c
+            steps.append((z, i, f, o, g, c, tanh_c))
+            h, c = h_new, c_new
+            hs[:, t, :] = h
+        caches.append(steps)
+        layer_inputs = hs
+    h_last = layer_inputs[:, -1, :]
+    preds = h_last @ params.head_w + params.head_b
+    return preds, (caches, h_last)
+
+
+def oracle_lstm_backward_batch(params, cache, d_preds):
+    """Exact BPTT over an oracle_lstm_forward_batch cache, batch-major."""
+    caches, h_last = cache
+    grad_head_w = h_last.T @ d_preds
+    grad_head_b = float(np.sum(d_preds))
+    d_h_inject = d_preds[:, None] * params.head_w[None, :]
+
+    layer_grads = [None] * len(params.layers)
+    d_inputs_above = None
+    for li in range(len(params.layers) - 1, -1, -1):
+        layer = params.layers[li]
+        steps = caches[li]
+        u = layer.units
+        d_in = layer.input_dim
+        B = steps[0][0].shape[0]
+        w = len(steps)
+        dW = np.zeros_like(layer.W)
+        db = np.zeros_like(layer.b)
+        dh = np.zeros((B, u))
+        dc = np.zeros((B, u))
+        d_inputs = [None] * w
+        for t in range(w - 1, -1, -1):
+            z, i, f, o, g, c_prev, tanh_c = steps[t]
+            dh_t = dh
+            if li == len(params.layers) - 1:
+                if t == w - 1:
+                    dh_t = dh_t + d_h_inject
+            else:
+                dh_t = dh_t + d_inputs_above[t]
+            dc_t = dc + dh_t * o * (1.0 - tanh_c * tanh_c)
+            do = dh_t * tanh_c
+            di = dc_t * g
+            dg = dc_t * i
+            df = dc_t * c_prev
+            da = np.concatenate(
+                [
+                    di * i * (1.0 - i),
+                    df * f * (1.0 - f),
+                    do * o * (1.0 - o),
+                    dg * (1.0 - g * g),
+                ],
+                axis=1,
+            )
+            dW += da.T @ z
+            db += da.sum(axis=0)
+            dz = da @ layer.W
+            d_inputs[t] = dz[:, :d_in]
+            dh = dz[:, d_in:]
+            dc = dc_t * f
+        layer_grads[li] = LstmLayerParams(W=dW, b=db)
+        d_inputs_above = d_inputs
+    return LstmGradients(layers=tuple(layer_grads), head_w=grad_head_w, head_b=grad_head_b)
+
+
+def oracle_train_lstm_params(X, y, config, seed):
+    """train_lstm's loop over the oracle kernel: (params, loss_history).
+
+    Same init draws, permutations, mini-batch slicing, updates and loss
+    accumulation as the package's trainer, so every byte must agree."""
+    n = len(y)
+    rng = np.random.default_rng(seed)
+    params = init_lstm_parameters(config, rng)
+    batch = n if config.batch_size == 0 else min(config.batch_size, n)
+    preds, _ = oracle_lstm_forward_batch(params, X)
+    losses = [float(np.mean((preds - y) ** 2))]
+    lr = config.learning_rate
+    for _ in range(config.epochs):
+        order = rng.permutation(n) if batch < n else np.arange(n)
+        epoch_loss = 0.0
+        for start in range(0, n, batch):
+            idx = order[start : start + batch]
+            preds, cache = oracle_lstm_forward_batch(params, X[idx])
+            err = preds - y[idx]
+            epoch_loss += float(err @ err)
+            grads = oracle_lstm_backward_batch(params, cache, (2.0 / idx.size) * err)
+            params = LstmParameters(
+                layers=tuple(
+                    LstmLayerParams(W=lp.W - lr * gp.W, b=lp.b - lr * gp.b)
+                    for lp, gp in zip(params.layers, grads.layers)
+                ),
+                head_w=params.head_w - lr * grads.head_w,
+                head_b=params.head_b - lr * grads.head_b,
+            )
+        losses.append(epoch_loss / n)
+    preds, _ = oracle_lstm_forward_batch(params, X)
+    losses.append(float(np.mean((preds - y) ** 2)))
+    return params, tuple(losses)
 
 
 # --- MLP gradient probe -----------------------------------------------------

@@ -7,6 +7,8 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from epiforecast import cli
+from epiforecast.backtest import arima_default_candidates
 from epiforecast.cli import main
 from epiforecast.data import parse_csv, train_test_split
 from epiforecast.forecasters import ForecasterSpec, fit, save_model
@@ -366,3 +368,122 @@ def test_unknown_autoreg_grid_field_is_usage_error(tmp_path, capsys):
     args = ["fit", "--input", str(data), "--model", "autoreg", "--grid", str(grid)]
     assert main(args + ["--out", str(tmp_path)]) == 1
     assert "unknown fields ['q'] in grid section [autoreg]" in capsys.readouterr().err
+
+
+def fitted_lstm_file(tmp_path, capsys):
+    data = make_csv(tmp_path / "data.csv", n=40)
+    grid = write_grid(
+        tmp_path / "lstm.ini",
+        "[lstm]\nnum_units = 2\nwindow = 4\nepochs = 1\nlearning_rate = 0.1\n",
+    )
+    out = tmp_path / "models"
+    assert main([
+        "fit", "--input", str(data), "--model", "lstm", "--target", "deaths",
+        "--grid", str(grid), "--out", str(out),
+    ]) == 0
+    capsys.readouterr()
+    return out / "model_deaths_lstm.json"
+
+
+def _narrow_layer_1_W(doc):
+    layer = doc["params"]["layers"][1]
+    layer["W"] = [row[:-1] for row in layer["W"]]
+
+
+def _shorten_layer_0_b(doc):
+    doc["params"]["layers"][0]["b"].pop()
+
+
+def _lengthen_head_w(doc):
+    doc["params"]["head_w"].append(0.5)
+
+
+def _drop_layer_1(doc):
+    doc["params"]["layers"].pop()
+
+
+def _shorten_train_tail(doc):
+    doc["train_tail"].pop(0)
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_narrow_layer_1_W, "LSTM layer 1: W (8, 3)"),
+        (_shorten_layer_0_b, "LSTM layer 0: W (8, 3) and b (7,)"),
+        (_lengthen_head_w, "LSTM head_w has shape (3,)"),
+        (_drop_layer_1, "1 LSTM layers, the config has 2"),
+        (_shorten_train_tail, "train_tail has shape (3,), the lstm config needs (4,)"),
+    ],
+    ids=["W-width", "b-length", "head_w-length", "layer-count", "short-train_tail"],
+)
+def test_lstm_model_file_shapes_are_checked_against_config(tmp_path, capsys, tamper, message):
+    model_path = fitted_lstm_file(tmp_path, capsys)
+    assert main(["forecast", "--model-file", str(model_path), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(model_path.read_text())
+    tamper(doc)
+    model_path.write_text(json.dumps(doc))
+    assert main(["forecast", "--model-file", str(model_path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed model file: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("phi", [0.5], "phi has shape (1,), AR(3) needs (3,)"),
+        ("train_tail", [0.1, 0.2], "train_tail has shape (2,), the autoreg config needs (3,)"),
+    ],
+    ids=["phi-length", "short-train_tail"],
+)
+def test_autoreg_model_file_shapes_are_checked_against_config(tmp_path, capsys, key, value, message):
+    _, model_path = fitted_model_file(tmp_path, capsys)
+    doc = json.loads(model_path.read_text())
+    (doc["params"] if key == "phi" else doc)[key] = value
+    model_path.write_text(json.dumps(doc))
+    assert main(["forecast", "--model-file", str(model_path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed model file: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_backtest_reads_the_grid_file_once(tmp_path, capsys, monkeypatch):
+    reads = []
+    read_ini = cli._read_ini
+
+    def spy(path, what):
+        reads.append((path, what))
+        return read_ini(path, what)
+
+    monkeypatch.setattr(cli, "_read_ini", spy)
+    data = make_csv(tmp_path / "data.csv", n=60)
+    grid = write_grid(tmp_path / "grid.ini", "[autoreg]\np = 2, 3\n")
+    args = [
+        "backtest", "--input", str(data), "--models", "autoreg,additive",
+        "--grid", str(grid), "--out", str(tmp_path),
+    ]
+    assert main(args) == 0
+    capsys.readouterr()
+    assert reads == [(str(grid), "grid")]
+
+
+def test_unknown_arima_grid_field_is_usage_error(tmp_path, capsys):
+    data = make_csv(tmp_path / "data.csv")
+    grid = write_grid(tmp_path / "grid.ini", "[arima]\np_max = 1\nq_max = 0\nq = 3\ntypo = 1\n")
+    args = ["fit", "--input", str(data), "--model", "arima", "--grid", str(grid)]
+    assert main(args + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown fields ['q', 'typo'] in grid section [arima]")
+    assert "Traceback" not in err
+
+
+def test_arima_grid_defaults_are_the_backtest_defaults(tmp_path):
+    grid = write_grid(tmp_path / "grid.ini", "[arima]\n")
+    assert cli._candidate_grids(0, str(grid))["arima"] == arima_default_candidates(0)
+    grid = write_grid(tmp_path / "grid.ini", "[arima]\np_max = 1\nq_max = 1\nd = 1\n")
+    orders = [
+        (s.config.p, s.config.d, s.config.q) for s in cli._candidate_grids(0, str(grid))["arima"]
+    ]
+    assert sorted(orders) == [(0, 1, 0), (0, 1, 1), (1, 1, 0), (1, 1, 1)]

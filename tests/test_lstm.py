@@ -9,13 +9,21 @@ from epiforecast.forecasters.base import LstmConfig
 from epiforecast.forecasters.lstm import (
     LstmLayerParams,
     LstmParameters,
+    _backward_batch,
+    _forward_batch,
     init_lstm_parameters,
     lstm_backward,
     lstm_cell_step,
     lstm_forward,
     train_lstm,
 )
-from oracles import lstm_gradcheck_max_rel_err
+from oracles import (
+    lstm_gradcheck_max_rel_err,
+    oracle_lstm_backward_batch,
+    oracle_lstm_forward_batch,
+    oracle_train_lstm_params,
+    oracle_windows,
+)
 from support import series
 
 
@@ -234,3 +242,65 @@ def test_config_contract():
         LstmConfig(num_units=4, window=4, epochs=1, learning_rate=0.0)
     with pytest.raises(ContractError):
         LstmConfig(num_units=4, window=4, epochs=1, learning_rate=0.1, layers=0)
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("batch", (1, 7, 32))
+@pytest.mark.parametrize("window", (1, 2, 14))
+@pytest.mark.parametrize("units", (1, 4, 16))
+@pytest.mark.parametrize("layers", (1, 2, 3))
+def test_batch_kernel_is_bit_identical_to_batch_major_oracle(layers, units, window, batch):
+    rng = np.random.default_rng([layers, units, window, batch])
+    config = LstmConfig(num_units=units, window=window, epochs=1, learning_rate=0.1, layers=layers)
+    params = init_lstm_parameters(config, rng)
+    # off the tiny init, so every gate and the cell state leave their linear range
+    params = LstmParameters(
+        tuple(LstmLayerParams(lp.W * 10.0, lp.b * 10.0) for lp in params.layers),
+        params.head_w * 10.0,
+        params.head_b,
+    )
+    X = rng.uniform(-1.0, 1.0, (batch, window))
+    d_preds = rng.normal(0.0, 1.0, batch)
+
+    preds, cache = _forward_batch(params, X)
+    want_preds, want_cache = oracle_lstm_forward_batch(params, X)
+    assert_same_bytes(preds, want_preds)
+    grads = _backward_batch(params, cache, d_preds)
+    want = oracle_lstm_backward_batch(params, want_cache, d_preds)
+    assert len(grads.layers) == layers
+    for got_layer, want_layer in zip(grads.layers, want.layers):
+        assert_same_bytes(got_layer.W, want_layer.W)
+        assert_same_bytes(got_layer.b, want_layer.b)
+    assert_same_bytes(grads.head_w, want.head_w)
+    assert grads.head_b == want.head_b
+
+
+@pytest.mark.parametrize(
+    "units, window, batch_size, layers",
+    [(4, 5, 8, 2), (1, 3, 16, 2), (3, 4, 0, 1), (2, 2, 6, 3)],
+    ids=["ragged-batches", "one-unit", "full-batch", "three-layers"],
+)
+def test_training_is_bit_identical_to_oracle_driven_loop(units, window, batch_size, layers):
+    # 42 - window windows: not a multiple of any batch size used here
+    values = np.sin(np.arange(42.0) / 4.0) * 0.4 + 0.5
+    config = LstmConfig(
+        num_units=units,
+        window=window,
+        epochs=6,
+        learning_rate=0.3,
+        batch_size=batch_size,
+        layers=layers,
+    )
+    model = train_lstm(series(values), config, seed=5)
+    X, y = oracle_windows(values, window)
+    want_params, want_losses = oracle_train_lstm_params(X, y, config, seed=5)
+    assert model.params.loss_history == want_losses
+    for got, want in zip(model.params.layers, want_params.layers, strict=True):
+        assert_same_bytes(got.W, want.W)
+        assert_same_bytes(got.b, want.b)
+    assert_same_bytes(model.params.head_w, want_params.head_w)
+    assert model.params.head_b == want_params.head_b

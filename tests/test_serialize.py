@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from epiforecast.errors import ModelFileError
-from epiforecast.forecasters import ForecasterSpec, fit, forecast, load_model, save_model
+from epiforecast.forecasters import (
+    FAMILIES,
+    ForecasterSpec,
+    fit,
+    forecast,
+    load_model,
+    save_model,
+)
 from epiforecast.forecasters.base import (
     AdditiveConfig,
     ArimaOrder,
@@ -175,3 +182,13 @@ def test_bad_values_are_model_file_errors(path, value):
     node[path[-1]] = value
     with pytest.raises(ModelFileError, match="malformed model file"):
         model_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "spec", CODEC_SPECS, ids=lambda s: f"{s.kind}-{'-'.join(map(str, vars(s.config).values()))}"
+)
+def test_registry_shape_facts_match_what_fitters_store(spec):
+    model = fit(spec, small_series())
+    family = FAMILIES[spec.kind]
+    assert model.train_tail.shape == (family.tail_length(spec.config),)
+    family.check_params(model.params, spec.config)
