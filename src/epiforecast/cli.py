@@ -1,10 +1,10 @@
 """Command-line entry points: validate, fit, forecast, backtest, plotdata.
 
-Exit codes: 0 success, 1 usage error, 2 data validation error, 3 model or
-fitting error. Options resolve as flags > config file > defaults, and every
-output file gets a .meta.json sidecar holding the effective configuration,
-timestamps and wall times, so the outputs themselves stay byte-identical
-across reruns.
+Exit codes, each the exit_code of the error class raised: 0 success, 1 usage
+error, 2 data validation error, 3 model or fitting error. Options resolve as
+flags > config file > defaults, and every output file gets a .meta.json
+sidecar holding the effective configuration, timestamps and wall times, so
+the outputs themselves stay byte-identical across reruns.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import logging
 import sys
 import time
 from dataclasses import MISSING, asdict, fields, replace
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from typing import get_type_hints
 
@@ -36,19 +36,7 @@ from .backtest import (
     render_table,
 )
 from .data import extract_series, parse_csv, train_test_split
-from .errors import (
-    ContractError,
-    DegenerateScaleError,
-    DivergenceError,
-    EpiForecastError,
-    ExhaustedGridError,
-    ModelFileError,
-    ParseError,
-    SingularFitError,
-    StructuralError,
-    UndefinedMetricError,
-    ValidationError,
-)
+from .errors import EpiForecastError, ExhaustedGridError, ModelFileError, ParseError
 from .forecasters import (
     KINDS,
     ForecasterSpec,
@@ -66,9 +54,6 @@ from .transform import fit_scaler, scale
 logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_DATA = 2
-EXIT_MODEL = 3
 
 TARGET_CHOICES = ("confirmed", "deaths", "recovered")
 
@@ -81,8 +66,11 @@ DEFAULTS = {
 }
 
 
-class UsageError(Exception):
-    pass
+class UsageError(EpiForecastError):
+    """Bad flags, input path, config or grid file. Not a ValueError, so the grid
+    reader's ValueError handler does not wrap it a second time."""
+
+    exit_code = 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -203,6 +191,9 @@ def _grid_section(ini: configparser.ConfigParser, kind: str, seed: int) -> list[
     if unknown:
         raise UsageError(f"unknown fields {sorted(unknown)} in grid section [{kind}]")
     if kind == "arima":
+        for key in ("p_max", "q_max"):
+            if len(options.get(key, ())) > 1:
+                raise UsageError(f"{key} takes one value in grid section [arima]")
         p_max = int(options["p_max"][0]) if "p_max" in options else ARIMA_DEFAULT_P_MAX
         q_max = int(options["q_max"][0]) if "q_max" in options else ARIMA_DEFAULT_Q_MAX
         ds = [int(v) for v in options["d"]] if "d" in options else ARIMA_DEFAULT_D
@@ -294,8 +285,6 @@ def cmd_forecast(args) -> int:
     effective = _resolve(args, "horizon", "out")
     effective["model_files"] = list(args.model_files)
     horizon = effective["horizon"]
-    if horizon < 1:
-        raise UsageError("--horizon must be >= 1")
     rows = []
     for model_path in args.model_files:
         model = load_model(model_path)
@@ -303,6 +292,8 @@ def cmd_forecast(args) -> int:
             raise ModelFileError(
                 f"model file {model_path} lacks target/date metadata; refit it via the CLI"
             )
+        if (date.max - model.train_end_date).days < horizon:
+            raise UsageError(f"--horizon {horizon} ends after {date.max} for {model_path}")
         values = model.scaler.inverse(forecast(model, horizon))
         label = DISPLAY_NAMES[model.spec.kind].lower().replace(" ", "")
         for k in range(horizon):
@@ -434,25 +425,9 @@ def main(argv=None) -> int:
             "plotdata": cmd_plotdata,
         }
         return handlers[args.command](args)
-    except (UsageError, ContractError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, StructuralError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (
-        DegenerateScaleError,
-        SingularFitError,
-        DivergenceError,
-        ExhaustedGridError,
-        ModelFileError,
-        UndefinedMetricError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
     except EpiForecastError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
+        return exc.exit_code
 
 
 if __name__ == "__main__":

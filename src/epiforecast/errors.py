@@ -1,21 +1,27 @@
 """Exception hierarchy shared across the package.
 
-Every failure mode callers are expected to branch on gets its own class;
-everything derives from EpiForecastError so CLI entry points can map the
-whole family onto exit codes.
+Every failure mode callers are expected to branch on gets its own class. Each
+class carries the CLI exit code for it: 1 usage or precondition error, 2 bad
+input data, 3 model or fitting error, the default set on EpiForecastError.
 """
 
 
 class EpiForecastError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 3
+
 
 class ContractError(EpiForecastError, ValueError):
     """An argument or precondition violation (bad order, bad fraction, ...)."""
 
+    exit_code = 1
+
 
 class ParseError(EpiForecastError):
     """A malformed CSV row: wrong arity, unparseable number or date."""
+
+    exit_code = 2
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
@@ -27,9 +33,13 @@ class ParseError(EpiForecastError):
 class StructuralError(EpiForecastError):
     """A structurally broken dataset: date gap, duplicate date, empty file."""
 
+    exit_code = 2
+
 
 class ValidationError(EpiForecastError):
     """Well-formed data that violates a domain invariant (e.g. monotonicity)."""
+
+    exit_code = 2
 
 
 class DegenerateScaleError(EpiForecastError):

@@ -15,6 +15,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ..data import Series
+from ..errors import ContractError
 from .base import (
     KINDS,
     AdditiveConfig,
@@ -99,7 +100,7 @@ class Family:
     forecast: Callable[[FittedModel, int], np.ndarray]
     insample: Callable[[FittedModel, Series], tuple[np.ndarray, np.ndarray]]
     tail_length: Callable[[Any], int]
-    check_params: Callable[[Any, Any], None] = lambda params, config: None
+    check_params: Callable[[Any, Any], None]
 
 
 # The entries look the family functions up in this module's namespace when they
@@ -120,6 +121,7 @@ FAMILIES = {
         lambda model, h: forecast_arima(model, h),
         lambda model, train: insample_arima(model, train),
         lambda order: order.p + order.d + 1,
+        arima.check_arima_params,
     ),
     "lstm": Family(
         lstm.LstmParameters,
@@ -135,6 +137,7 @@ FAMILIES = {
         lambda model, h: forecast_mlp(model, h),
         lambda model, train: insample_mlp(model, train),
         lambda config: config.window,
+        mlp.check_mlp_params,
     ),
     "additive": Family(
         additive.AdditiveParams,
@@ -142,6 +145,7 @@ FAMILIES = {
         lambda model, h: forecast_additive(model, h),
         lambda model, train: insample_additive(model, train),
         lambda config: 1,
+        additive.check_additive_params,
     ),
 }
 
@@ -153,7 +157,9 @@ def fit(spec: ForecasterSpec, train: Series) -> FittedModel:
 
 
 def forecast(model: FittedModel, h: int) -> np.ndarray:
-    """h-step point forecast on the normalized scale."""
+    """h-step point forecast on the normalized scale; h must be >= 1."""
+    if h < 1:
+        raise ContractError("forecast horizon must be >= 1")
     return FAMILIES[model.spec.kind].forecast(model, h)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..data import Series
 from ..errors import ContractError, SingularFitError
-from .base import AdditiveConfig, FittedModel, ForecasterSpec
+from .base import AdditiveConfig, FittedModel, ForecasterSpec, check_shape
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,19 @@ class AdditiveParams:
     beta: np.ndarray
     changepoints: np.ndarray
     n_train: int
+
+
+def design_width(config: AdditiveConfig) -> int:
+    """Design columns: intercept, trend, hinges, a cos/sin pair per Fourier order."""
+    return 2 + config.n_changepoints + 2 * config.fourier_order
+
+
+def check_additive_params(params: AdditiveParams, config: AdditiveConfig) -> None:
+    """Raise ValueError unless beta has one coefficient per design column and
+    changepoints one entry per hinge."""
+    owner = "the additive config"
+    check_shape("beta", params.beta, (design_width(config),), owner)
+    check_shape("changepoints", params.changepoints, (config.n_changepoints,), owner)
 
 
 def training_changepoints(n: int, n_changepoints: int) -> np.ndarray:
@@ -55,7 +68,7 @@ def build_additive_design(
 
 def fit_additive(train: Series, config: AdditiveConfig) -> FittedModel:
     n = len(train)
-    n_cols = 2 + config.n_changepoints + 2 * config.fourier_order
+    n_cols = design_width(config)
     if n < n_cols:
         raise ContractError(
             f"series of length {n} too short for a {n_cols}-column additive design"
@@ -89,8 +102,6 @@ def fit_additive(train: Series, config: AdditiveConfig) -> FittedModel:
 
 
 def forecast_additive(model: FittedModel, h: int) -> np.ndarray:
-    if h < 1:
-        raise ContractError("forecast horizon must be >= 1")
     config: AdditiveConfig = model.spec.config
     params: AdditiveParams = model.params
     t = np.arange(params.n_train, params.n_train + h, dtype=np.float64)

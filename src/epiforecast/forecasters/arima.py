@@ -18,7 +18,7 @@ from ..data import Series
 from ..errors import ContractError, DivergenceError, ExhaustedGridError, SingularFitError
 from ..metrics import mse
 from ..transform import difference_values, integrate_forecast
-from .base import ArimaOrder, FittedModel, ForecasterSpec
+from .base import ArimaOrder, FittedModel, ForecasterSpec, check_shape
 from .autoreg import lag_matrix
 
 logger = logging.getLogger(__name__)
@@ -218,6 +218,13 @@ class ArimaParams:
     warnings: tuple[str, ...] = ()
 
 
+def check_arima_params(params: ArimaParams, order: ArimaOrder) -> None:
+    """Raise ValueError unless phi holds p coefficients and theta and resid_tail q each."""
+    owner = f"ARIMA({order.p},{order.d},{order.q})"
+    for name, n in (("phi", order.p), ("theta", order.q), ("resid_tail", order.q)):
+        check_shape(name, getattr(params, name), (n,), owner)
+
+
 def fit_arima(train: Series, order: ArimaOrder) -> FittedModel:
     p, d, q = order.p, order.d, order.q
     n = len(train)
@@ -278,8 +285,6 @@ def fit_arima(train: Series, order: ArimaOrder) -> FittedModel:
 
 
 def forecast_arima(model: FittedModel, h: int) -> np.ndarray:
-    if h < 1:
-        raise ContractError("forecast horizon must be >= 1")
     order: ArimaOrder = model.spec.config
     params: ArimaParams = model.params
     p, d, q = order.p, order.d, order.q

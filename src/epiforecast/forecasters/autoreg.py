@@ -8,7 +8,7 @@ import numpy as np
 
 from ..data import Series
 from ..errors import ContractError, SingularFitError
-from .base import ArOrder, FittedModel, ForecasterSpec
+from .base import ArOrder, FittedModel, ForecasterSpec, check_shape
 
 
 @dataclass(frozen=True)
@@ -46,13 +46,10 @@ def fit_autoreg(train: Series, order: ArOrder) -> FittedModel:
 
 def check_ar_params(params: ArParams, order: ArOrder) -> None:
     """Raise ValueError unless phi holds one coefficient per lag of the order."""
-    if params.phi.shape != (order.p,):
-        raise ValueError(f"phi has shape {params.phi.shape}, AR({order.p}) needs ({order.p},)")
+    check_shape("phi", params.phi, (order.p,), f"AR({order.p})")
 
 
 def forecast_autoreg(model: FittedModel, h: int) -> np.ndarray:
-    if h < 1:
-        raise ContractError("forecast horizon must be >= 1")
     params: ArParams = model.params
     p = params.phi.size
     history = list(model.train_tail[-p:])

@@ -14,6 +14,14 @@ from ..transform import MinMaxScaler, IDENTITY_SCALER
 MAX_SEED = 2**64
 
 
+def check_shape(name: str, value: np.ndarray | None, shape: tuple | None, owner: str) -> None:
+    """Raise ValueError unless value has the given shape, or is None when shape
+    is None; owner names what needs the shape, for the message."""
+    actual = None if value is None else value.shape
+    if actual != shape:
+        raise ValueError(f"{name} has shape {actual}, {owner} needs {shape}")
+
+
 @dataclass(frozen=True)
 class ArOrder:
     """Autoregression order: y_t regressed on its previous p values."""

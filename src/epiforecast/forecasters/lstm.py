@@ -47,7 +47,7 @@ import numpy as np
 from ..data import Series
 from ..errors import ContractError, DivergenceError
 from ..transform import make_windows
-from .base import FittedModel, ForecasterSpec, LstmConfig
+from .base import FittedModel, ForecasterSpec, LstmConfig, check_shape
 
 INIT_SCALE = 0.08
 FORGET_BIAS = 1.0
@@ -72,23 +72,7 @@ class LstmLayerParams:
     def input_dim(self) -> int:
         return self.W.shape[1] - self.units
 
-    # gate views, in stack order
-    @property
-    def w_i(self) -> np.ndarray:
-        return self.W[: self.units]
-
-    @property
-    def w_f(self) -> np.ndarray:
-        return self.W[self.units : 2 * self.units]
-
-    @property
-    def w_o(self) -> np.ndarray:
-        return self.W[2 * self.units : 3 * self.units]
-
-    @property
-    def w_g(self) -> np.ndarray:
-        return self.W[3 * self.units :]
-
+    # bias views of the first two gates, in stack order
     @property
     def b_i(self) -> np.ndarray:
         return self.b[: self.units]
@@ -96,14 +80,6 @@ class LstmLayerParams:
     @property
     def b_f(self) -> np.ndarray:
         return self.b[self.units : 2 * self.units]
-
-    @property
-    def b_o(self) -> np.ndarray:
-        return self.b[2 * self.units : 3 * self.units]
-
-    @property
-    def b_g(self) -> np.ndarray:
-        return self.b[3 * self.units :]
 
 
 @dataclass(frozen=True)
@@ -262,8 +238,7 @@ def check_lstm_parameters(params: LstmParameters, config: LstmConfig) -> None:
                 f"the config needs {(4 * u, d + u)} and {(4 * u,)}"
             )
         d = u
-    if params.head_w.shape != (u,):
-        raise ValueError(f"LSTM head_w has shape {params.head_w.shape}, the config needs {(u,)}")
+    check_shape("LSTM head_w", params.head_w, (u,), "the config")
 
 
 def init_lstm_parameters(config: LstmConfig, rng: np.random.Generator) -> LstmParameters:
@@ -352,8 +327,6 @@ def train_lstm(train: Series, config: LstmConfig, seed: int = 0) -> FittedModel:
 
 def forecast_lstm(model: FittedModel, h: int) -> np.ndarray:
     """Recursive multi-step forecast: each prediction is appended to the window."""
-    if h < 1:
-        raise ContractError("forecast horizon must be >= 1")
     config: LstmConfig = model.spec.config
     window = list(model.train_tail[-config.window :])
     out = np.empty(h, dtype=np.float64)

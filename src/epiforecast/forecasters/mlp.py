@@ -13,9 +13,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..data import Series
-from ..errors import ContractError, DivergenceError
+from ..errors import DivergenceError
 from ..transform import make_windows
-from .base import FittedModel, ForecasterSpec, MlpConfig
+from .base import FittedModel, ForecasterSpec, MlpConfig, check_shape
 
 INIT_SCALE = 0.08
 
@@ -42,6 +42,29 @@ def _features(inputs: np.ndarray, target_dows: np.ndarray | None) -> np.ndarray:
     if target_dows is None:
         return inputs
     return np.concatenate([inputs, _dow_onehot(target_dows)], axis=1)
+
+
+def _design(train: Series, config: MlpConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Features (each lag window, plus the predicted day's weekday one-hot when
+    seasonal) and targets over the training frame."""
+    windows = make_windows(train, config.window)
+    target_dows = None
+    if config.seasonal:
+        first_target = train.start_date.weekday() + config.window
+        target_dows = (first_target + np.arange(len(windows))) % 7
+    return _features(windows.inputs, target_dows), windows.targets
+
+
+def check_mlp_params(params: MlpParams, config: MlpConfig) -> None:
+    """Raise ValueError unless hidden_w is (h, d) and hidden_b (h,), both None
+    when h = 0, and out_w is (h or d,), with d the window plus 7 weekday inputs
+    when seasonal; and unless next_dow is set exactly when seasonal."""
+    h, d = config.hidden_units, config.window + (7 if config.seasonal else 0)
+    check_shape("hidden_w", params.hidden_w, (h, d) if h else None, "the mlp config")
+    check_shape("hidden_b", params.hidden_b, (h,) if h else None, "the mlp config")
+    check_shape("out_w", params.out_w, (h or d,), "the mlp config")
+    if (params.next_dow is None) == config.seasonal:
+        raise ValueError(f"next_dow is {params.next_dow} but seasonal is {config.seasonal}")
 
 
 def _forward(params: MlpParams, X: np.ndarray) -> np.ndarray:
@@ -87,13 +110,7 @@ def mlp_gradients(params: MlpParams, X: np.ndarray, y: np.ndarray) -> tuple[MlpG
 
 
 def fit_mlp(train: Series, config: MlpConfig, seed: int = 0) -> FittedModel:
-    windows = make_windows(train, config.window)
-    target_dows = None
-    if config.seasonal:
-        first_target = train.start_date.weekday() + config.window
-        target_dows = (first_target + np.arange(len(windows))) % 7
-    X = _features(windows.inputs, target_dows)
-    y = windows.targets
+    X, y = _design(train, config)
     n, d = X.shape
 
     rng = np.random.default_rng(seed)
@@ -116,22 +133,12 @@ def fit_mlp(train: Series, config: MlpConfig, seed: int = 0) -> FittedModel:
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             grads, preds = mlp_gradients(params, X, y)
-            if h > 0:
-                params = MlpParams(
-                    hidden_w=params.hidden_w - lr * grads.hidden_w,
-                    hidden_b=params.hidden_b - lr * grads.hidden_b,
-                    out_w=params.out_w - lr * grads.out_w,
-                    out_b=params.out_b - lr * grads.out_b,
-                    next_dow=params.next_dow,
-                )
-            else:
-                params = MlpParams(
-                    hidden_w=None,
-                    hidden_b=None,
-                    out_w=params.out_w - lr * grads.out_w,
-                    out_b=params.out_b - lr * grads.out_b,
-                    next_dow=params.next_dow,
-                )
+            params = MlpParams(  # next_dow is set after training
+                hidden_w=params.hidden_w - lr * grads.hidden_w if h > 0 else None,
+                hidden_b=params.hidden_b - lr * grads.hidden_b if h > 0 else None,
+                out_w=params.out_w - lr * grads.out_w,
+                out_b=params.out_b - lr * grads.out_b,
+            )
             err = preds - y
             loss = float(np.mean(err * err))
             if not np.isfinite(loss):
@@ -154,8 +161,6 @@ def fit_mlp(train: Series, config: MlpConfig, seed: int = 0) -> FittedModel:
 
 
 def forecast_mlp(model: FittedModel, h: int) -> np.ndarray:
-    if h < 1:
-        raise ContractError("forecast horizon must be >= 1")
     config: MlpConfig = model.spec.config
     params: MlpParams = model.params
     window = list(model.train_tail[-config.window :])
@@ -173,11 +178,5 @@ def forecast_mlp(model: FittedModel, h: int) -> np.ndarray:
 
 
 def insample_mlp(model: FittedModel, train: Series) -> tuple[np.ndarray, np.ndarray]:
-    config: MlpConfig = model.spec.config
-    windows = make_windows(train, config.window)
-    target_dows = None
-    if config.seasonal:
-        first_target = train.start_date.weekday() + config.window
-        target_dows = (first_target + np.arange(len(windows))) % 7
-    X = _features(windows.inputs, target_dows)
-    return windows.targets, _forward(model.params, X)
+    X, y = _design(train, model.spec.config)
+    return y, _forward(model.params, X)

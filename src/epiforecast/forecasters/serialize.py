@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import ModelFileError
 from ..transform import MinMaxScaler
-from .base import CONFIG_TYPES, FittedModel, ForecasterSpec
+from .base import CONFIG_TYPES, FittedModel, ForecasterSpec, check_shape
 
 SCHEMA_VERSION = 1
 
@@ -36,11 +36,11 @@ def _encode(value):
     return value
 
 
-_field_types = cache(get_type_hints)  # annotations of a params dataclass, by field
+_field_types = cache(get_type_hints)  # annotations of a config or params dataclass, by field
 
 
 def _decode(tp, value):
-    """Inverse of _encode, driven by the field annotations of the params type."""
+    """Inverse of _encode, driven by the field annotations of the config or params type."""
     if is_dataclass(tp):
         return tp(**{name: _decode(ftp, value[name]) for name, ftp in _field_types(tp).items()})
     if get_origin(tp) in (Union, types.UnionType):  # X | None
@@ -54,7 +54,9 @@ def _decode(tp, value):
         if is_dataclass(item_tp):
             return tuple(_decode(item_tp, item) for item in value)
         return tuple(value)  # scalars as read: loss histories run to thousands
-    if tp in (int, float):
+    if tp in (int, float, bool):
+        if tp(value) != value:  # refuses 1.5 for an int, a string, and NaN
+            raise ValueError(f"{value!r} is not a valid {tp.__name__}")
         return tp(value)
     return value
 
@@ -85,7 +87,8 @@ def model_from_dict(doc: dict) -> FittedModel:
         raise ModelFileError(f"unsupported model schema version {version!r}")
     try:
         kind = doc["kind"]
-        config = CONFIG_TYPES[kind](**doc["config"])
+        raw, hints = doc["config"], _field_types(CONFIG_TYPES[kind])  # unknown key: KeyError
+        config = CONFIG_TYPES[kind](**{k: _decode(hints[k], raw[k]) for k in raw})
         spec = ForecasterSpec(kind, config, int(doc["seed"]))
         if doc["diff_state"] is not None:
             raise ModelFileError(f"unsupported diff_state {doc['diff_state']!r}; expected null")
@@ -93,11 +96,7 @@ def model_from_dict(doc: dict) -> FittedModel:
         params = _decode(family.params_type, doc["params"])
         family.check_params(params, config)
         train_tail = np.asarray(doc["train_tail"], dtype=np.float64)
-        tail_shape = (family.tail_length(config),)
-        if train_tail.shape != tail_shape:
-            raise ValueError(
-                f"train_tail has shape {train_tail.shape}, the {kind} config needs {tail_shape}"
-            )
+        check_shape("train_tail", train_tail, (family.tail_length(config),), f"the {kind} config")
         return FittedModel(
             spec=spec,
             params=params,
@@ -110,8 +109,8 @@ def model_from_dict(doc: dict) -> FittedModel:
                 else date.fromisoformat(doc["train_end_date"])
             ),
         )
-    # ValueError includes the ContractError a config or spec check raises
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    # ValueError includes a config or spec check's ContractError; int(inf) overflows
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"malformed model file: {exc}") from exc
 
 

@@ -2,17 +2,19 @@
 
 import csv
 import json
+from dataclasses import replace
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from epiforecast import cli
+from epiforecast import cli, errors
 from epiforecast.backtest import arima_default_candidates
 from epiforecast.cli import main
 from epiforecast.data import parse_csv, train_test_split
 from epiforecast.forecasters import ForecasterSpec, fit, save_model
-from epiforecast.forecasters.base import ArOrder
+from epiforecast.forecasters.base import CONFIG_TYPES, ArOrder
 from support import series
 
 
@@ -487,3 +489,181 @@ def test_arima_grid_defaults_are_the_backtest_defaults(tmp_path):
         (s.config.p, s.config.d, s.config.q) for s in cli._candidate_grids(0, str(grid))["arima"]
     ]
     assert sorted(orders) == [(0, 1, 0), (0, 1, 1), (1, 1, 0), (1, 1, 1)]
+
+
+def saved_model_file(tmp_path, spec, n=60):
+    """A model fitted through the library on a synthetic series, with the
+    target metadata the forecast command needs."""
+    t = np.arange(n, dtype=np.float64)
+    model = fit(spec, series(t / n + 0.05 * np.sin(t)))
+    path = tmp_path / f"model_{spec.kind}.json"
+    save_model(replace(model, target="deaths"), path)
+    return path
+
+
+def _empty(*keys):
+    def tamper(params):
+        for key in keys:
+            params[key] = []
+    return tamper
+
+
+def _drop_last_column(key):
+    def tamper(params):
+        params[key] = [row[:-1] for row in params[key]]
+    return tamper
+
+
+def _append(key, value):
+    def tamper(params):
+        params[key].append(value)
+    return tamper
+
+
+def _set(key, value):
+    def tamper(params):
+        params[key] = value
+    return tamper
+
+
+def _spec(kind, **config):
+    return ForecasterSpec(kind, CONFIG_TYPES[kind](**config), 0)
+
+
+@pytest.mark.parametrize(
+    "spec, tamper, message",
+    [
+        (_spec("arima", p=0, d=1, q=1), _empty("theta", "resid_tail"),
+         "theta has shape (0,), ARIMA(0,1,1) needs (1,)"),
+        (_spec("arima", p=1, d=0, q=2), _empty("resid_tail"),
+         "resid_tail has shape (0,), ARIMA(1,0,2) needs (2,)"),
+        (_spec("arima", p=2, d=1, q=1), _set("phi", [0.5]),
+         "phi has shape (1,), ARIMA(2,1,1) needs (2,)"),
+        (_spec("mlp", window=3, hidden_units=2, epochs=2, learning_rate=0.1, seasonal=True),
+         _drop_last_column("hidden_w"), "hidden_w has shape (2, 9), the mlp config needs (2, 10)"),
+        (_spec("mlp", window=3, hidden_units=0, epochs=2, learning_rate=0.1),
+         _append("out_w", 0.5), "out_w has shape (4,), the mlp config needs (3,)"),
+        (_spec("mlp", window=3, hidden_units=2, epochs=2, learning_rate=0.1, seasonal=True),
+         _set("next_dow", None), "next_dow is None but seasonal is True"),
+        (_spec("mlp", window=3, hidden_units=2, epochs=2, learning_rate=0.1),
+         _set("next_dow", 3), "next_dow is 3 but seasonal is False"),
+        (_spec("additive", n_changepoints=3, fourier_order=2), _set("beta", [0.1, 0.2]),
+         "beta has shape (2,), the additive config needs (9,)"),
+        (_spec("additive", n_changepoints=3, fourier_order=2), _append("changepoints", 50.0),
+         "changepoints has shape (4,), the additive config needs (3,)"),
+    ],
+    ids=[
+        "arima-empty-theta-and-resid_tail", "arima-empty-resid_tail", "arima-short-phi",
+        "mlp-hidden_w-width", "mlp-out_w-length", "mlp-next_dow-missing", "mlp-next_dow-unseasonal",
+        "additive-beta-length", "additive-changepoints-length",
+    ],
+)
+def test_model_file_params_are_checked_against_config(tmp_path, capsys, spec, tamper, message):
+    model_path = saved_model_file(tmp_path, spec)
+    assert main(["forecast", "--model-file", str(model_path), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(model_path.read_text())
+    tamper(doc["params"])
+    model_path.write_text(json.dumps(doc))
+    assert main(["forecast", "--model-file", str(model_path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed model file: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["p_max", "q_max"])
+def test_arima_grid_order_bounds_take_one_value(tmp_path, capsys, key):
+    data = make_csv(tmp_path / "data.csv")
+    other = "q_max" if key == "p_max" else "p_max"
+    grid = write_grid(tmp_path / "grid.ini", f"[arima]\n{key} = 1, 4\n{other} = 0\nd = 1\n")
+    args = ["fit", "--input", str(data), "--model", "arima", "--grid", str(grid)]
+    assert main(args + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {key} takes one value in grid section [arima]\n"
+
+
+# The README's exit-code table: 1 usage, 2 data, 3 model errors.
+EXIT_CODES = {
+    cli.UsageError: 1,
+    errors.ContractError: 1,
+    errors.ParseError: 2,
+    errors.StructuralError: 2,
+    errors.ValidationError: 2,
+    errors.EpiForecastError: 3,
+    errors.DegenerateScaleError: 3,
+    errors.SingularFitError: 3,
+    errors.DivergenceError: 3,
+    errors.UndefinedMetricError: 3,
+    errors.ExhaustedGridError: 3,
+    errors.ModelFileError: 3,
+}
+
+
+def test_exit_code_table_names_every_error_class_and_matches_the_readme():
+    classes = {
+        value for value in vars(errors).values()
+        if isinstance(value, type) and issubclass(value, errors.EpiForecastError)
+    }
+    assert set(EXIT_CODES) == classes | {cli.UsageError}
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    for code, meaning in [(1, "usage error"), (2, "data error"), (3, "model error")]:
+        assert f"\n| {code}    | {meaning}:" in readme
+
+
+@pytest.mark.parametrize("error_class", list(EXIT_CODES), ids=lambda cls: cls.__name__)
+def test_each_error_class_exits_with_its_code(monkeypatch, capsys, error_class):
+    def fail(args):
+        raise error_class("boom")
+
+    monkeypatch.setattr(cli, "cmd_validate", fail)
+    assert main(["validate", "--input", "data.csv"]) == EXIT_CODES[error_class]
+    assert capsys.readouterr().err == "error: boom\n"
+
+
+def test_forecast_past_the_last_representable_date_is_usage_error(tmp_path, capsys):
+    _, model_path = fitted_model_file(tmp_path, capsys)
+    doc = json.loads(model_path.read_text())
+    doc["train_end_date"] = "9999-12-30"
+    model_path.write_text(json.dumps(doc))
+    args = ["forecast", "--model-file", str(model_path), "--out", str(tmp_path)]
+    assert main(args + ["--horizon", "1"]) == 0
+    assert main(args + ["--horizon", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --horizon 2 ends after 9999-12-31 for {model_path}\n"
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("config", "p"), 1.5, "1.5 is not a valid int"),
+        (("config", "q"), "1", "'1' is not a valid int"),
+        (("config", "lag"), 1, "'lag'"),
+        (("seed",), float("inf"), "cannot convert float infinity to integer"),
+        (("params", "c"), float("nan"), "nan is not a valid float"),
+    ],
+    ids=["fractional-order", "string-order", "unknown-config-key", "infinite-seed", "nan-param"],
+)
+def test_model_file_values_must_have_their_field_types(tmp_path, capsys, path, value, message):
+    model_path = saved_model_file(tmp_path, _spec("arima", p=1, d=1, q=1))
+    doc = json.loads(model_path.read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    model_path.write_text(json.dumps(doc))
+    assert main(["forecast", "--model-file", str(model_path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed model file: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_integral_float_orders_load_as_ints(tmp_path, capsys):
+    model_path = saved_model_file(tmp_path, _spec("arima", p=1, d=1, q=1))
+    args = ["forecast", "--model-file", str(model_path), "--out", str(tmp_path)]
+    assert main(args) == 0
+    expected = (tmp_path / "forecast.csv").read_bytes()
+    doc = json.loads(model_path.read_text())
+    doc["config"]["p"] = 1.0
+    model_path.write_text(json.dumps(doc))
+    assert main(args) == 0
+    assert (tmp_path / "forecast.csv").read_bytes() == expected
