@@ -85,7 +85,7 @@ class FoldScore(NamedTuple):
     mse: float
 
 
-def _fit_normalized(spec: ForecasterSpec, train: Series) -> FittedModel:
+def fit_normalized(spec: ForecasterSpec, train: Series) -> FittedModel:
     """Fit the scaler on train, fit the model on the scaled series."""
     scaler = fit_scaler(train)
     model = fit(spec, scale(scaler, train))
@@ -98,17 +98,16 @@ def holdout_eval(
     """Chronological split, fit on train, score both frames on the normalized scale."""
     protocol = protocol or EvalProtocol()
     train, test = train_test_split(s, protocol.test_fraction)
-    model = _fit_normalized(spec, train)
-    train_n = scale(model.scaler, train)
-    test_n = scale(model.scaler, test)
-    fc = forecast(model, len(test_n))
-    actual, predicted = insample_predictions(model, train_n)
-    return HoldoutScores(
-        train_mse=mse(actual, predicted),
-        test_mse=mse(test_n.values, fc),
-        train_score=fit_score(actual, predicted),
-        test_score=fit_score(test_n.values, fc),
-    )
+    row = ReportRow(name=spec.kind)
+    _score(row, spec, fit_normalized(spec, train), train, test)
+    return HoldoutScores(row.mse_train, row.mse_test, row.r2_train, row.r2_test)
+
+
+def _fold_mse(spec: ForecasterSpec, s: Series, origin: int, horizon: int) -> float:
+    """Fit on s[:origin], score the forecast of the next horizon values."""
+    model = fit_normalized(spec, Series(s.values[:origin], s.start_date, s.kind, s.scale_state))
+    actual = model.scaler.transform(s.values[origin : origin + horizon])
+    return mse(actual, forecast(model, horizon))
 
 
 def rolling_origin_eval(
@@ -126,14 +125,10 @@ def rolling_origin_eval(
             f"series of length {n} has no room for one fold "
             f"(initial_train {first}, horizon {protocol.horizon})"
         )
-    folds = []
-    for origin in range(first, n - protocol.horizon + 1, protocol.step):
-        train = Series(s.values[:origin], s.start_date, s.kind, s.scale_state)
-        model = _fit_normalized(spec, train)
-        actual = model.scaler.transform(s.values[origin : origin + protocol.horizon])
-        fc = forecast(model, protocol.horizon)
-        folds.append(FoldScore(origin=origin, mse=mse(actual, fc)))
-    return folds
+    return [
+        FoldScore(origin, _fold_mse(spec, s, origin, protocol.horizon))
+        for origin in range(first, n - protocol.horizon + 1, protocol.step)
+    ]
 
 
 def grid_search(
@@ -147,15 +142,12 @@ def grid_search(
     protocol = protocol or EvalProtocol()
     if protocol.kind == "holdout":
         fit_part, val = train_test_split(train, protocol.test_fraction)
-    best_spec = None
-    best_score = None
+    best_spec = best_score = None
     failures = []
     for spec in candidates:
         try:
             if protocol.kind == "holdout":
-                model = _fit_normalized(spec, fit_part)
-                actual = model.scaler.transform(val.values)
-                score = mse(actual, forecast(model, len(val)))
+                score = _fold_mse(spec, train, len(fit_part), len(val))
             else:
                 folds = rolling_origin_eval(spec, train, protocol)
                 score = sum(f.mse for f in folds) / len(folds)
@@ -170,7 +162,7 @@ def grid_search(
         raise ExhaustedGridError(
             f"all {len(failures)} grid candidates failed; last: {failures[-1][1]}"
         )
-    return best_spec, _fit_normalized(best_spec, train), best_score
+    return best_spec, fit_normalized(best_spec, train), best_score
 
 
 def _failure(exc: Exception, context: str) -> str:
@@ -293,32 +285,10 @@ def compare_models(
             if len(specs) == 0:
                 raise ContractError(f"entry {name!r} has no candidate specs")
             if len(specs) == 1:
-                chosen = specs[0]
-                model = _fit_normalized(chosen, train)
-                validation_mse = None
+                chosen, model = specs[0], fit_normalized(specs[0], train)
             else:
-                chosen, model, validation_mse = grid_search(specs, train, protocol)
-            train_n = scale(model.scaler, train)
-            test_n = scale(model.scaler, test)
-            fc = forecast(model, len(test_n))
-            actual, predicted = insample_predictions(model, train_n)
-            row.kind = chosen.kind
-            row.hyperparameters = asdict(chosen.config)
-            row.seed = chosen.seed
-            row.mse_train = mse(actual, predicted)
-            row.mse_test = mse(test_n.values, fc)
-            row.r2_train = fit_score(actual, predicted)
-            row.r2_test = fit_score(test_n.values, fc)
-            row.rmse_test = rmse(test_n.values, fc)
-            row.validation_mse = validation_mse
-            try:
-                row.mape_test = mape(test_n.values, fc)
-            except UndefinedMetricError as exc:
-                row.notes.append(f"mape_test undefined: {exc}")
-            try:
-                row.mase_test = mase(test_n.values, fc, train_n.values)
-            except UndefinedMetricError as exc:
-                row.notes.append(f"mase_test undefined: {exc}")
+                chosen, model, row.validation_mse = grid_search(specs, train, protocol)
+            _score(row, chosen, model, train, test)
         except Exception as exc:  # one failing family must not end the comparison
             row.error = _failure(exc, f"model {name} failed")
         row.wall_time_s = time.perf_counter() - t0
@@ -333,6 +303,33 @@ def compare_models(
         target=target,
         protocol=protocol,
     )
+
+
+def _score(
+    row: ReportRow, spec: ForecasterSpec, model: FittedModel, train: Series, test: Series
+) -> None:
+    """Fill row's spec fields, metrics and notes: the model's in-sample fit on
+    train and its forecast of test, both on the model's normalized scale."""
+    train_n = scale(model.scaler, train)
+    test_n = scale(model.scaler, test)
+    fc = forecast(model, len(test_n))
+    actual, predicted = insample_predictions(model, train_n)
+    row.kind = spec.kind
+    row.hyperparameters = asdict(spec.config)
+    row.seed = spec.seed
+    row.mse_train = mse(actual, predicted)
+    row.mse_test = mse(test_n.values, fc)
+    row.r2_train = fit_score(actual, predicted)
+    row.r2_test = fit_score(test_n.values, fc)
+    row.rmse_test = rmse(test_n.values, fc)
+    try:
+        row.mape_test = mape(test_n.values, fc)
+    except UndefinedMetricError as exc:
+        row.notes.append(f"mape_test undefined: {exc}")
+    try:
+        row.mase_test = mase(test_n.values, fc, train_n.values)
+    except UndefinedMetricError as exc:
+        row.notes.append(f"mase_test undefined: {exc}")
 
 
 def render_table(report: BacktestReport) -> str:

@@ -32,15 +32,15 @@ from .backtest import (
     compare_models,
     default_model_grids,
     expand_grid,
+    fit_normalized,
     grid_search,
     render_table,
 )
-from .data import extract_series, parse_csv, train_test_split
+from .data import TARGETS, extract_series, parse_csv
 from .errors import EpiForecastError, ExhaustedGridError, ModelFileError, ParseError
 from .forecasters import (
     KINDS,
     ForecasterSpec,
-    fit,
     forecast,
     insample_predictions,
     load_model,
@@ -49,13 +49,11 @@ from .forecasters import (
 from .forecasters.arima import arima_orders
 from .forecasters.base import CONFIG_TYPES
 from .metrics import fit_score, mse
-from .transform import fit_scaler, scale
+from .transform import scale
 
 logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
-
-TARGET_CHOICES = ("confirmed", "deaths", "recovered")
 
 DEFAULTS = {
     "target": "confirmed",
@@ -93,7 +91,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("fit", help="fit one model (grid-searched) and write a model file")
     p.add_argument("--input", required=True)
-    p.add_argument("--target", choices=TARGET_CHOICES)
+    p.add_argument("--target", choices=TARGETS)
     p.add_argument("--model", required=True, choices=KINDS)
     p.add_argument("--grid", help="INI grid file overriding default candidates")
     p.add_argument("--seed", type=int)
@@ -108,7 +106,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("backtest", help="compare model families on one holdout split")
     p.add_argument("--input", required=True)
-    p.add_argument("--target", choices=TARGET_CHOICES)
+    p.add_argument("--target", choices=TARGETS)
     p.add_argument("--models", help="comma-separated kinds (default: all five)")
     p.add_argument("--grid", help="INI grid file overriding default candidates")
     p.add_argument("--seed", type=int)
@@ -155,7 +153,7 @@ def _resolve(args, *keys) -> dict:
         value = getattr(args, k, None)
         if value is not None:
             effective[k] = value
-    if "target" in effective and effective["target"] not in TARGET_CHOICES:
+    if "target" in effective and effective["target"] not in TARGETS:
         raise UsageError(f"unknown target {effective['target']!r}")
     return effective
 
@@ -240,7 +238,7 @@ def cmd_validate(args) -> int:
     text = _read_text(args.input)
     ds = parse_csv(text, allow_corrections=args.allow_corrections)
     print(f"{len(ds)} records, {ds.start_date.isoformat()}..{ds.end_date.isoformat()}")
-    for name in TARGET_CHOICES:
+    for name in TARGETS:
         status = "non-decreasing" if ds.column_monotone(name) else "has corrections"
         print(f"{name}: {status}")
     return EXIT_OK
@@ -255,14 +253,10 @@ def cmd_fit(args) -> int:
     candidates = _candidate_grids(effective["seed"], args.grid)[args.model]
     protocol = EvalProtocol(test_fraction=effective["test_fraction"])
     if len(candidates) == 1:
-        chosen = candidates[0]
-        scaler = fit_scaler(s)
-        model = fit(chosen, scale(scaler, s))
-        model = replace(model, scaler=scaler, target=effective["target"])
-        validation_mse = None
+        chosen, model, validation_mse = candidates[0], fit_normalized(candidates[0], s), None
     else:
         chosen, model, validation_mse = grid_search(candidates, s, protocol)
-        model = replace(model, target=effective["target"])
+    model = replace(model, target=effective["target"])
     normalized = scale(model.scaler, s)
     actual, predicted = insample_predictions(model, normalized)
     out = _out_dir(effective)
@@ -296,18 +290,18 @@ def cmd_forecast(args) -> int:
             raise UsageError(f"--horizon {horizon} ends after {date.max} for {model_path}")
         values = model.scaler.inverse(forecast(model, horizon))
         label = DISPLAY_NAMES[model.spec.kind].lower().replace(" ", "")
-        for k in range(horizon):
-            day = model.train_end_date + timedelta(days=k + 1)
-            value = float(values[k])
-            if value < 0.0:
-                logger.warning(
-                    "floored negative %s forecast %.6f to 0 on %s",
-                    model.target,
-                    value,
-                    day.isoformat(),
-                )
-                value = 0.0
-            rows.append((day.isoformat(), model.target, label, value))
+        days = [(model.train_end_date + timedelta(days=k + 1)).isoformat() for k in range(horizon)]
+        floored = [day for day, value in zip(days, values) if value < 0.0]
+        if floored:
+            logger.warning(
+                "floored %d negative %s forecasts to 0 for %s, the first on %s",
+                len(floored),
+                model.target,
+                model_path,
+                floored[0],
+            )
+        for day, value in zip(days, values):
+            rows.append((day, model.target, label, 0.0 if value < 0.0 else float(value)))
     out = _out_dir(effective)
     path = out / "forecast.csv"
     with open(path, "w", newline="") as fh:
@@ -386,7 +380,7 @@ def cmd_plotdata(args) -> int:
             f"forecast files must share one target, found: {sorted(targets) or 'none'}"
         )
     target = targets.pop()
-    if target not in TARGET_CHOICES:
+    if target not in TARGETS:
         raise UsageError(f"unknown target {target!r} in forecast files")
     observed = extract_series(ds, target)
     out = _out_dir(effective)

@@ -67,46 +67,30 @@ def check_mlp_params(params: MlpParams, config: MlpConfig) -> None:
         raise ValueError(f"next_dow is {params.next_dow} but seasonal is {config.seasonal}")
 
 
-def _forward(params: MlpParams, X: np.ndarray) -> np.ndarray:
+def _hidden(params: MlpParams, X: np.ndarray) -> np.ndarray:
+    """The tanh layer's activations, or X itself when the hidden layer is absent."""
     if params.hidden_w is None:
-        return X @ params.out_w + params.out_b
-    H = np.tanh(X @ params.hidden_w.T + params.hidden_b)
-    return H @ params.out_w + params.out_b
+        return X
+    return np.tanh(X @ params.hidden_w.T + params.hidden_b)
 
 
-@dataclass(frozen=True)
-class MlpGradients:
-    hidden_w: np.ndarray | None
-    hidden_b: np.ndarray | None
-    out_w: np.ndarray
-    out_b: float
+def _forward(params: MlpParams, X: np.ndarray) -> np.ndarray:
+    return _hidden(params, X) @ params.out_w + params.out_b
 
 
-def mlp_gradients(params: MlpParams, X: np.ndarray, y: np.ndarray) -> tuple[MlpGradients, np.ndarray]:
-    """Exact gradient of mean squared error over (X, y), plus the predictions."""
-    n = len(y)
+def mlp_gradients(
+    params: MlpParams, X: np.ndarray, y: np.ndarray
+) -> tuple[MlpParams, np.ndarray]:
+    """Exact gradient of mean squared error over (X, y), as an MlpParams with
+    params' shapes, plus the predictions."""
+    H = _hidden(params, X)
+    preds = H @ params.out_w + params.out_b
+    d_preds = (2.0 / len(y)) * (preds - y)
+    hidden_w = hidden_b = None
     if params.hidden_w is not None:
-        A = X @ params.hidden_w.T + params.hidden_b
-        H = np.tanh(A)
-        preds = H @ params.out_w + params.out_b
-        d_preds = (2.0 / n) * (preds - y)
         dH = np.outer(d_preds, params.out_w) * (1.0 - H * H)
-        grads = MlpGradients(
-            hidden_w=dH.T @ X,
-            hidden_b=dH.sum(axis=0),
-            out_w=H.T @ d_preds,
-            out_b=float(np.sum(d_preds)),
-        )
-        return grads, preds
-    preds = X @ params.out_w + params.out_b
-    d_preds = (2.0 / n) * (preds - y)
-    grads = MlpGradients(
-        hidden_w=None,
-        hidden_b=None,
-        out_w=X.T @ d_preds,
-        out_b=float(np.sum(d_preds)),
-    )
-    return grads, preds
+        hidden_w, hidden_b = dH.T @ X, dH.sum(axis=0)
+    return MlpParams(hidden_w, hidden_b, H.T @ d_preds, float(np.sum(d_preds))), preds
 
 
 def fit_mlp(train: Series, config: MlpConfig, seed: int = 0) -> FittedModel:
@@ -115,14 +99,11 @@ def fit_mlp(train: Series, config: MlpConfig, seed: int = 0) -> FittedModel:
 
     rng = np.random.default_rng(seed)
     h = config.hidden_units
+    hidden_w = hidden_b = None
     if h > 0:
         hidden_w = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(h, d))
         hidden_b = rng.uniform(-INIT_SCALE, INIT_SCALE, size=h)
-        out_w = rng.uniform(-INIT_SCALE, INIT_SCALE, size=h)
-    else:
-        hidden_w = None
-        hidden_b = None
-        out_w = rng.uniform(-INIT_SCALE, INIT_SCALE, size=d)
+    out_w = rng.uniform(-INIT_SCALE, INIT_SCALE, size=h or d)
     out_b = float(rng.uniform(-INIT_SCALE, INIT_SCALE))
     params = MlpParams(hidden_w, hidden_b, out_w, out_b)
 

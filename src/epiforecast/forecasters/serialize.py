@@ -8,6 +8,7 @@ truncated files are refused.
 from __future__ import annotations
 
 import json
+import math
 import types
 from dataclasses import asdict, fields, is_dataclass
 from datetime import date
@@ -17,6 +18,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from ..data import TARGETS
 from ..errors import ModelFileError
 from ..transform import MinMaxScaler
 from .base import CONFIG_TYPES, FittedModel, ForecasterSpec, check_shape
@@ -40,7 +42,8 @@ _field_types = cache(get_type_hints)  # annotations of a config or params datacl
 
 
 def _decode(tp, value):
-    """Inverse of _encode, driven by the field annotations of the config or params type."""
+    """Inverse of _encode, driven by the field annotations of the config, params
+    or scaler type. Refuses NaN and infinities in every float and array."""
     if is_dataclass(tp):
         return tp(**{name: _decode(ftp, value[name]) for name, ftp in _field_types(tp).items()})
     if get_origin(tp) in (Union, types.UnionType):  # X | None
@@ -48,14 +51,17 @@ def _decode(tp, value):
             return None
         (tp,) = [arg for arg in get_args(tp) if arg is not type(None)]
     if tp is np.ndarray:
-        return np.asarray(value, dtype=np.float64)
+        array = np.asarray(value, dtype=np.float64)
+        if not np.isfinite(array).all():
+            raise ValueError(f"{array[~np.isfinite(array)][0]} is not a finite number")
+        return array
     if get_origin(tp) is tuple:
         item_tp = get_args(tp)[0]
         if is_dataclass(item_tp):
             return tuple(_decode(item_tp, item) for item in value)
         return tuple(value)  # scalars as read: loss histories run to thousands
     if tp in (int, float, bool):
-        if tp(value) != value:  # refuses 1.5 for an int, a string, and NaN
+        if tp(value) != value or not math.isfinite(value):  # 1.5 for an int, "1", NaN, inf
             raise ValueError(f"{value!r} is not a valid {tp.__name__}")
         return tp(value)
     return value
@@ -95,12 +101,14 @@ def model_from_dict(doc: dict) -> FittedModel:
         family = FAMILIES[kind]
         params = _decode(family.params_type, doc["params"])
         family.check_params(params, config)
-        train_tail = np.asarray(doc["train_tail"], dtype=np.float64)
+        train_tail = _decode(np.ndarray, doc["train_tail"])
         check_shape("train_tail", train_tail, (family.tail_length(config),), f"the {kind} config")
+        if doc["target"] not in (None, *TARGETS):
+            raise ValueError(f"target {doc['target']!r} is not one of {', '.join(TARGETS)}")
         return FittedModel(
             spec=spec,
             params=params,
-            scaler=MinMaxScaler(float(doc["scaler"]["min"]), float(doc["scaler"]["max"])),
+            scaler=_decode(MinMaxScaler, doc["scaler"]),
             train_tail=train_tail,
             target=doc["target"],
             train_end_date=(

@@ -349,6 +349,69 @@ def mlp_gradcheck_max_rel_err(seed: int) -> float:
     return worst
 
 
+# --- MLP two-branch reference ------------------------------------------------
+# The forward pass and gradient as they were written before the hidden layer
+# and the h = 0 case shared one path; the package must agree bit for bit.
+
+
+def oracle_mlp_forward(params, X):
+    if params.hidden_w is None:
+        return X @ params.out_w + params.out_b
+    H = np.tanh(X @ params.hidden_w.T + params.hidden_b)
+    return H @ params.out_w + params.out_b
+
+
+def oracle_mlp_gradients(params, X, y):
+    """(hidden_w, hidden_b, out_w, out_b) gradients of the mean squared error,
+    hidden ones None when h = 0, plus the predictions."""
+    n = len(y)
+    if params.hidden_w is not None:
+        A = X @ params.hidden_w.T + params.hidden_b
+        H = np.tanh(A)
+        preds = H @ params.out_w + params.out_b
+        d_preds = (2.0 / n) * (preds - y)
+        dH = np.outer(d_preds, params.out_w) * (1.0 - H * H)
+        grads = (dH.T @ X, dH.sum(axis=0), H.T @ d_preds, float(np.sum(d_preds)))
+        return grads, preds
+    preds = X @ params.out_w + params.out_b
+    d_preds = (2.0 / n) * (preds - y)
+    return (None, None, X.T @ d_preds, float(np.sum(d_preds))), preds
+
+
+def oracle_mlp_init(h, d, seed):
+    """fit_mlp's initial parameters: the same draws in the same order."""
+    rng = np.random.default_rng(seed)
+    if h > 0:
+        hidden_w = rng.uniform(-0.08, 0.08, size=(h, d))
+        hidden_b = rng.uniform(-0.08, 0.08, size=h)
+        out_w = rng.uniform(-0.08, 0.08, size=h)
+    else:
+        hidden_w = None
+        hidden_b = None
+        out_w = rng.uniform(-0.08, 0.08, size=d)
+    return MlpParams(hidden_w, hidden_b, out_w, float(rng.uniform(-0.08, 0.08)))
+
+
+def oracle_fit_mlp_params(X, y, config, seed):
+    """fit_mlp's training loop over the two-branch reference: (params, loss_history)."""
+    h = config.hidden_units
+    params = oracle_mlp_init(h, X.shape[1], seed)
+    lr = config.learning_rate
+    losses = [float(np.mean((oracle_mlp_forward(params, X) - y) ** 2))]
+    for _ in range(config.epochs):
+        (g_hw, g_hb, g_ow, g_ob), preds = oracle_mlp_gradients(params, X, y)
+        params = MlpParams(
+            hidden_w=params.hidden_w - lr * g_hw if h > 0 else None,
+            hidden_b=params.hidden_b - lr * g_hb if h > 0 else None,
+            out_w=params.out_w - lr * g_ow,
+            out_b=params.out_b - lr * g_ob,
+        )
+        err = preds - y
+        losses.append(float(np.mean(err * err)))
+    losses.append(float(np.mean((oracle_mlp_forward(params, X) - y) ** 2)))
+    return params, tuple(losses)
+
+
 # --- Model-file params codec reference ---------------------------------------
 # The hand-written per-kind codec the generic dataclass walk in
 # forecasters/serialize.py replaced; model files must stay byte-identical to it.

@@ -26,6 +26,7 @@ from epiforecast.errors import ContractError, ExhaustedGridError
 import epiforecast.forecasters as fc
 from epiforecast.forecasters import FAMILIES, KINDS, ForecasterSpec, fit, forecast
 from epiforecast.forecasters.base import ArOrder, LstmConfig
+from epiforecast.forecasters.base import AdditiveConfig, MlpConfig
 from epiforecast.metrics import mse
 from epiforecast.transform import fit_scaler, scale
 from support import series
@@ -302,3 +303,21 @@ def test_grid_search_skips_candidate_with_foreign_exception(monkeypatch):
     chosen, model, score = grid_search(candidates, wiggly_series(100))
     assert chosen.config == ArOrder(2)
     assert np.isfinite(score)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ForecasterSpec("autoreg", ArOrder(3), 0),
+        ForecasterSpec("additive", AdditiveConfig(n_changepoints=3, fourier_order=1), 0),
+        ForecasterSpec("mlp", MlpConfig(window=4, hidden_units=3, epochs=50, learning_rate=0.05), 1),
+    ],
+    ids=lambda spec: spec.kind,
+)
+def test_grid_search_holdout_score_is_the_fit_part_validation_mse(spec):
+    s = wiggly_series(100)
+    _, _, score = grid_search([spec], s)
+    fit_part, val = train_test_split(s, 0.2)
+    scaler = fit_scaler(fit_part)
+    model = fit(spec, scale(scaler, fit_part))
+    assert score == mse(scaler.transform(val.values), forecast(model, len(val)))

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
@@ -667,3 +668,74 @@ def test_integral_float_orders_load_as_ints(tmp_path, capsys):
     model_path.write_text(json.dumps(doc))
     assert main(args) == 0
     assert (tmp_path / "forecast.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("params", "c"), float("inf"), "inf is not a valid float"),
+        (("params", "phi", 1), float("nan"), "nan is not a finite number"),
+        (("scaler", "max"), float("inf"), "inf is not a valid float"),
+        (("train_tail", 0), float("inf"), "inf is not a finite number"),
+    ],
+    ids=["infinite-c", "nan-in-phi", "infinite-scaler-max", "infinite-train_tail"],
+)
+def test_non_finite_model_file_numbers_are_model_errors(tmp_path, capsys, path, value, message):
+    _, model_path = fitted_model_file(tmp_path, capsys)
+    doc = json.loads(model_path.read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    model_path.write_text(json.dumps(doc))
+    assert "Infinity" in model_path.read_text() or "NaN" in model_path.read_text()
+    out = tmp_path / "fc"
+    assert main(["forecast", "--model-file", str(model_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed model file: ") and message in err
+    assert "Traceback" not in err
+    assert not (out / "forecast.csv").exists()
+
+
+@pytest.mark.parametrize("target", [5, "foo", "Deaths"])
+def test_model_file_target_must_be_a_known_target(tmp_path, capsys, target):
+    _, model_path = fitted_model_file(tmp_path, capsys)
+    doc = json.loads(model_path.read_text())
+    doc["target"] = target
+    model_path.write_text(json.dumps(doc))
+    assert main(["forecast", "--model-file", str(model_path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: malformed model file: target {target!r} is not one of "
+        "confirmed, deaths, recovered\n"
+    )
+
+
+def test_flooring_logs_one_line_per_model_and_keeps_the_csv_bytes(tmp_path, capsys, caplog):
+    from epiforecast.forecasters import forecast, load_model
+
+    _, model_path = fitted_model_file(tmp_path, capsys)
+    doc = json.loads(model_path.read_text())
+    doc["params"]["c"], doc["params"]["phi"] = -0.1, [1.0, 0.0, 0.0]  # falls 0.1 a day
+    model_path.write_text(json.dumps(doc))
+    model = load_model(model_path)
+    values = model.scaler.inverse(forecast(model, 30))
+    days = [(model.train_end_date + timedelta(days=k + 1)).isoformat() for k in range(30)]
+    negative = [day for day, value in zip(days, values) if value < 0.0]
+    assert 0 < len(negative) < 30
+    out = tmp_path / "fc"
+    args = ["forecast", "--model-file", str(model_path), "--model-file", str(model_path)]
+    with caplog.at_level(logging.INFO):
+        assert main(args + ["--horizon", "30", "--out", str(out)]) == 0
+    floored = [r for r in caplog.records if r.name == "epiforecast.cli" and "floored" in r.message]
+    assert len(floored) == 2
+    assert all(r.levelno == logging.WARNING for r in floored)
+    assert floored[0].getMessage() == (
+        f"floored {len(negative)} negative deaths forecasts to 0 for {model_path}, "
+        f"the first on {negative[0]}"
+    )
+    rows = "".join(
+        f"{day},deaths,autoreg,{max(value, 0.0):.6f}\r\n" for day, value in zip(days, values)
+    )
+    expected = "date,target,model,point_forecast\r\n" + 2 * rows
+    assert (out / "forecast.csv").read_bytes() == expected.encode()

@@ -7,7 +7,13 @@ from epiforecast.errors import ContractError, DivergenceError
 from epiforecast.forecasters import ForecasterSpec, fit, forecast, insample_predictions
 from epiforecast.forecasters.base import MlpConfig
 from epiforecast.forecasters.mlp import MlpParams, _features, _forward, fit_mlp, mlp_gradients
-from oracles import mlp_gradcheck_max_rel_err
+from epiforecast.forecasters.mlp import _design
+from oracles import (
+    mlp_gradcheck_max_rel_err,
+    oracle_fit_mlp_params,
+    oracle_mlp_forward,
+    oracle_mlp_gradients,
+)
 from support import START, series
 
 
@@ -131,3 +137,44 @@ def test_config_contract():
         MlpConfig(window=1, hidden_units=1, epochs=-1, learning_rate=0.1)
     with pytest.raises(ContractError):
         MlpConfig(window=1, hidden_units=1, epochs=1, learning_rate=-0.2)
+
+
+def _same_bytes(got, want):
+    if want is None:
+        return got is None
+    return np.asarray(got).tobytes() == np.asarray(want, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("seasonal", [False, True], ids=["plain", "seasonal"])
+@pytest.mark.parametrize("h", [0, 4])
+def test_gradients_and_predictions_equal_the_two_branch_reference(h, seasonal):
+    config = MlpConfig(window=5, hidden_units=h, epochs=0, learning_rate=0.05, seasonal=seasonal)
+    X, y = _design(series(np.sin(np.arange(40.0) / 4.0)), config)
+    rng = np.random.default_rng(11)
+    d = X.shape[1]
+    params = MlpParams(
+        hidden_w=rng.normal(0.0, 0.5, size=(h, d)) if h else None,
+        hidden_b=rng.normal(0.0, 0.5, size=h) if h else None,
+        out_w=rng.normal(0.0, 0.5, size=h or d),
+        out_b=float(rng.normal()),
+    )
+    grads, preds = mlp_gradients(params, X, y)
+    want_grads, want_preds = oracle_mlp_gradients(params, X, y)
+    assert isinstance(grads, MlpParams)
+    assert np.array_equal(preds, want_preds)
+    assert np.array_equal(_forward(params, X), oracle_mlp_forward(params, X))
+    for name, want in zip(("hidden_w", "hidden_b", "out_w", "out_b"), want_grads):
+        assert _same_bytes(getattr(grads, name), want), name
+
+
+@pytest.mark.parametrize("seasonal", [False, True], ids=["plain", "seasonal"])
+@pytest.mark.parametrize("h", [0, 4])
+def test_fit_mlp_equals_the_two_branch_reference_bit_for_bit(h, seasonal):
+    s = series(np.sin(np.arange(60.0) / 5.0))
+    config = MlpConfig(window=6, hidden_units=h, epochs=300, learning_rate=0.05, seasonal=seasonal)
+    params = fit_mlp(s, config, seed=2).params
+    X, y = _design(s, config)
+    want, want_losses = oracle_fit_mlp_params(X, y, config, seed=2)
+    for name in ("hidden_w", "hidden_b", "out_w", "out_b"):
+        assert _same_bytes(getattr(params, name), getattr(want, name)), name
+    assert params.loss_history == want_losses
