@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import logging
+import math
 import sys
 import time
 from dataclasses import MISSING, asdict, fields, replace
@@ -230,7 +231,10 @@ def _write_sidecar(path: Path, command: str, config: dict, wall_time_s: float) -
 
 def _out_dir(effective: dict) -> Path:
     out = Path(effective.get("out", "."))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file stands at the path or above it, or no permission
+        raise UsageError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -373,6 +377,8 @@ def cmd_plotdata(args) -> int:
                 raise ParseError(
                     f"non-numeric point_forecast {value!r} in {fc_path}", line=lineno
                 ) from None
+            if not math.isfinite(value):
+                raise ParseError(f"non-finite point_forecast {row[3]!r} in {fc_path}", line=lineno)
             targets.add(target)
             blocks.append((day, model_label, value))
     if len(targets) != 1:

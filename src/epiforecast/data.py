@@ -173,6 +173,8 @@ def parse_csv(text: str | io.TextIOBase, *, allow_corrections: bool = False) -> 
                 raise ParseError(
                     f"unparseable count {raw!r} in column {name}", line=lineno
                 ) from None
+            if value >= 2**63:  # the dataset stores counts as int64
+                raise ParseError(f"count {raw} in column {name} exceeds 2**63 - 1", line=lineno)
             row_counts[name] = value
         dates.append(d)
         for name in TARGETS:

@@ -90,8 +90,8 @@ class Family:
 
     fit(train, config, seed) returns a FittedModel, forecast(model, h) an
     h-step array, insample(model, train) the (actual, predicted) pair.
-    tail_length(config) is the number of trailing training values the fitter
-    keeps in train_tail; check_params(params, config) raises ValueError when
+    tail_length(config) is the number of trailing training values base.fitted
+    stores in train_tail; check_params(params, config) raises ValueError when
     loaded params do not have the shapes the config implies.
     """
 

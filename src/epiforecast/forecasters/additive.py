@@ -15,7 +15,7 @@ import numpy as np
 
 from ..data import Series
 from ..errors import ContractError, SingularFitError
-from .base import AdditiveConfig, FittedModel, ForecasterSpec, check_shape
+from .base import AdditiveConfig, FittedModel, ForecasterSpec, check_shape, fitted
 
 
 @dataclass(frozen=True)
@@ -93,12 +93,8 @@ def fit_additive(train: Series, config: AdditiveConfig) -> FittedModel:
         raise SingularFitError(
             f"additive design is rank deficient (rank {rank} of {n_cols})"
         )
-    return FittedModel(
-        spec=ForecasterSpec("additive", config),
-        params=AdditiveParams(beta=beta, changepoints=changepoints, n_train=n),
-        train_tail=train.values[-1:],
-        train_end_date=train.end_date,
-    )
+    params = AdditiveParams(beta=beta, changepoints=changepoints, n_train=n)
+    return fitted(ForecasterSpec("additive", config), params, train)
 
 
 def forecast_additive(model: FittedModel, h: int) -> np.ndarray:

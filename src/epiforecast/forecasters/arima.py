@@ -18,8 +18,8 @@ from ..data import Series
 from ..errors import ContractError, DivergenceError, ExhaustedGridError, SingularFitError
 from ..metrics import mse
 from ..transform import difference_values, integrate_forecast
-from .base import ArimaOrder, FittedModel, ForecasterSpec, check_shape
-from .autoreg import lag_matrix
+from .base import ArimaOrder, FittedModel, ForecasterSpec, check_shape, fitted, recursive_forecast
+from .autoreg import ar_sum, lag_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -276,12 +276,7 @@ def fit_arima(train: Series, order: ArimaOrder) -> FittedModel:
     )
     for note in params.warnings:
         logger.warning("ARIMA(%d,%d,%d): %s", p, d, q, note)
-    return FittedModel(
-        spec=ForecasterSpec("arima", order),
-        params=params,
-        train_tail=train.values[-(p + d + 1) :],
-        train_end_date=train.end_date,
-    )
+    return fitted(ForecasterSpec("arima", order), params, train)
 
 
 def forecast_arima(model: FittedModel, h: int) -> np.ndarray:
@@ -290,20 +285,17 @@ def forecast_arima(model: FittedModel, h: int) -> np.ndarray:
     p, d, q = order.p, order.d, order.q
     tail = model.train_tail
     z_tail, _ = difference_values(tail, d) if d else (tail, None)
-    z_hist = list(z_tail[-p:]) if p else []
-    resid = list(params.resid_tail)
-    diffs = np.empty(h, dtype=np.float64)
-    for k in range(h):
-        acc = params.c
-        for i in range(1, p + 1):
-            acc += params.phi[i - 1] * z_hist[-i]
+    resid = params.resid_tail
+
+    def step(z: list, k: int) -> float:
+        acc = ar_sum(params.c, params.phi, z)
         for j in range(1, q + 1):
             lag = k - j
-            if lag < 0 and len(resid) + lag >= 0:
+            if lag < 0 and resid.size + lag >= 0:
                 acc += params.theta[j - 1] * resid[lag]
-        diffs[k] = acc
-        if p:
-            z_hist.append(acc)
+        return acc
+
+    diffs = recursive_forecast(z_tail[-p:] if p else [], h, step)
     return integrate_forecast(diffs, tail, d)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..data import Series
 from ..errors import ContractError, SingularFitError
-from .base import ArOrder, FittedModel, ForecasterSpec, check_shape
+from .base import ArOrder, FittedModel, ForecasterSpec, check_shape, fitted, recursive_forecast
 
 
 @dataclass(frozen=True)
@@ -36,12 +36,8 @@ def fit_autoreg(train: Series, order: ArOrder) -> FittedModel:
     beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
     if rank < p + 1:
         raise SingularFitError(f"AR({p}) design matrix is rank deficient (rank {rank})")
-    return FittedModel(
-        spec=ForecasterSpec("autoreg", order),
-        params=ArParams(c=float(beta[0]), phi=beta[1:].copy()),
-        train_tail=train.values[-p:],
-        train_end_date=train.end_date,
-    )
+    params = ArParams(c=float(beta[0]), phi=beta[1:].copy())
+    return fitted(ForecasterSpec("autoreg", order), params, train)
 
 
 def check_ar_params(params: ArParams, order: ArOrder) -> None:
@@ -49,18 +45,18 @@ def check_ar_params(params: ArParams, order: ArOrder) -> None:
     check_shape("phi", params.phi, (order.p,), f"AR({order.p})")
 
 
+def ar_sum(c: float, phi: np.ndarray, z) -> float:
+    """c + sum_i phi[i-1] * z[-i], added in lag order i = 1..p."""
+    acc = c
+    for i in range(1, phi.size + 1):
+        acc += phi[i - 1] * z[-i]
+    return acc
+
+
 def forecast_autoreg(model: FittedModel, h: int) -> np.ndarray:
     params: ArParams = model.params
-    p = params.phi.size
-    history = list(model.train_tail[-p:])
-    out = np.empty(h, dtype=np.float64)
-    for k in range(h):
-        acc = params.c
-        for i in range(1, p + 1):
-            acc += params.phi[i - 1] * history[-i]
-        out[k] = acc
-        history.append(acc)
-    return out
+    tail = model.train_tail[-params.phi.size :]
+    return recursive_forecast(tail, h, lambda z, k: ar_sum(params.c, params.phi, z))
 
 
 def insample_autoreg(model: FittedModel, train: Series) -> tuple[np.ndarray, np.ndarray]:

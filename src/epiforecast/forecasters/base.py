@@ -1,14 +1,16 @@
-"""Shared forecaster types: per-family configs, the spec, the fitted model."""
+"""Shared forecaster types and steps: per-family configs, the spec, the fitted
+model, and the gradient-descent and recursive-forecast loops."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
-from ..errors import ContractError
+from ..data import Series
+from ..errors import ContractError, DivergenceError
 from ..transform import MinMaxScaler, IDENTITY_SCALER
 
 MAX_SEED = 2**64
@@ -154,3 +156,48 @@ class FittedModel:
         tail = np.asarray(self.train_tail, dtype=np.float64).copy()
         tail.flags.writeable = False
         object.__setattr__(self, "train_tail", tail)
+
+
+def fitted(spec: ForecasterSpec, params: Any, train: Series) -> FittedModel:
+    """The model fitted on train, keeping the trailing values its family's
+    registry entry declares with tail_length."""
+    from . import FAMILIES  # the package imports this module before defining FAMILIES
+
+    n = FAMILIES[spec.kind].tail_length(spec.config)
+    return FittedModel(spec, params, train_tail=train.values[-n:], train_end_date=train.end_date)
+
+
+def descend(name: str, params: Any, epochs: int, loss: Callable, epoch: Callable) -> Any:
+    """Gradient descent: epochs calls of epoch(params) -> (params, loss before
+    the update). Returns the final params with loss_history set to the initial
+    loss, each epoch's loss and the final loss; raises DivergenceError at the
+    first of them after the initial one that is not finite."""
+
+    def finite(value: float, k: int) -> float:
+        if not np.isfinite(value):
+            raise DivergenceError(f"{name} training diverged at epoch {k}")
+        return value
+
+    losses = [loss(params)]
+    # a diverging run floods intermediate ops with inf/nan before the finiteness
+    # check raises; keep numpy quiet on that handled path
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, epochs + 1):
+            params, value = epoch(params)
+            losses.append(finite(value, k))
+        losses.append(finite(loss(params), epochs))
+    return replace(params, loss_history=tuple(losses))
+
+
+def recursive_forecast(tail: Any, h: int, step: Callable[[list, int], float]) -> np.ndarray:
+    """Recursive multi-step forecast: step(window, k) predicts step k from the
+    window, which then drops its oldest value and appends the prediction. An
+    empty window stays empty."""
+    window = list(tail)
+    out = np.empty(h, dtype=np.float64)
+    for k in range(h):
+        out[k] = value = step(window, k)
+        if window:
+            window.pop(0)
+            window.append(value)
+    return out

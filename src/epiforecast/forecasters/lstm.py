@@ -40,14 +40,15 @@ so none of them is done here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..data import Series
-from ..errors import ContractError, DivergenceError
+from ..errors import ContractError
 from ..transform import make_windows
-from .base import FittedModel, ForecasterSpec, LstmConfig, check_shape
+from .base import FittedModel, ForecasterSpec, LstmConfig, check_shape, descend, fitted
+from .base import recursive_forecast
 
 INIT_SCALE = 0.08
 FORGET_BIAS = 1.0
@@ -271,71 +272,42 @@ def train_lstm(train: Series, config: LstmConfig, seed: int = 0) -> FittedModel:
     n = len(windows)
     rng = np.random.default_rng(seed)
     params = init_lstm_parameters(config, rng)
-
     batch = n if config.batch_size == 0 else min(config.batch_size, n)
-    # the full-batch caches are dropped at once: kept alive through training,
-    # they doubled the trainer's peak memory
-    preds = _forward_batch(params, X)[0]
-    initial_mse = float(np.mean((preds - y) ** 2))
-    losses = [initial_mse]
     lr = config.learning_rate
-    # a diverging run floods intermediate ops with inf/nan before the per-epoch
-    # finiteness check below raises; keep numpy quiet on that handled path
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(config.epochs):
-            if batch < n:
-                order = rng.permutation(n)
-            else:
-                order = np.arange(n)
-            epoch_loss = 0.0
-            for start in range(0, n, batch):
-                idx = order[start : start + batch]
-                Xb, yb = X[idx], y[idx]
-                preds, cache = _forward_batch(params, Xb)
-                err = preds - yb
-                epoch_loss += float(err @ err)
-                d_preds = (2.0 / idx.size) * err
-                grads = _backward_batch(params, cache, d_preds)
-                new_layers = tuple(
+
+    def loss(params: LstmParameters) -> float:
+        # the full-batch caches are dropped at once: kept alive through training,
+        # they doubled the trainer's peak memory
+        preds = _forward_batch(params, X)[0]
+        return float(np.mean((preds - y) ** 2))
+
+    def epoch(params: LstmParameters) -> tuple[LstmParameters, float]:
+        order = rng.permutation(n) if batch < n else np.arange(n)
+        total = 0.0
+        for start in range(0, n, batch):
+            idx = order[start : start + batch]
+            preds, cache = _forward_batch(params, X[idx])
+            err = preds - y[idx]
+            total += float(err @ err)
+            grads = _backward_batch(params, cache, (2.0 / idx.size) * err)
+            params = LstmParameters(
+                layers=tuple(
                     LstmLayerParams(W=lp.W - lr * gp.W, b=lp.b - lr * gp.b)
                     for lp, gp in zip(params.layers, grads.layers)
-                )
-                params = LstmParameters(
-                    layers=new_layers,
-                    head_w=params.head_w - lr * grads.head_w,
-                    head_b=params.head_b - lr * grads.head_b,
-                )
-            epoch_loss /= n
-            if not np.isfinite(epoch_loss):
-                raise DivergenceError(f"LSTM training diverged at epoch {epoch + 1}")
-            losses.append(epoch_loss)
+                ),
+                head_w=params.head_w - lr * grads.head_w,
+                head_b=params.head_b - lr * grads.head_b,
+            )
+        return params, total / n
 
-        preds = _forward_batch(params, X)[0]
-        final_mse = float(np.mean((preds - y) ** 2))
-    if not np.isfinite(final_mse):
-        raise DivergenceError(f"LSTM training diverged at epoch {config.epochs}")
-    losses.append(final_mse)
-    params = replace(params, loss_history=tuple(losses))
-
-    return FittedModel(
-        spec=ForecasterSpec("lstm", config, seed),
-        params=params,
-        train_tail=train.values[-config.window :],
-        train_end_date=train.end_date,
-    )
+    params = descend("LSTM", params, config.epochs, loss, epoch)
+    return fitted(ForecasterSpec("lstm", config, seed), params, train)
 
 
 def forecast_lstm(model: FittedModel, h: int) -> np.ndarray:
     """Recursive multi-step forecast: each prediction is appended to the window."""
-    config: LstmConfig = model.spec.config
-    window = list(model.train_tail[-config.window :])
-    out = np.empty(h, dtype=np.float64)
-    for k in range(h):
-        pred, _ = lstm_forward(model.params, np.array(window))
-        out[k] = pred
-        window.pop(0)
-        window.append(pred)
-    return out
+    tail = model.train_tail[-model.spec.config.window :]
+    return recursive_forecast(tail, h, lambda w, k: lstm_forward(model.params, np.array(w))[0])
 
 
 def insample_lstm(model: FittedModel, train: Series) -> tuple[np.ndarray, np.ndarray]:

@@ -13,9 +13,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..data import Series
-from ..errors import DivergenceError
 from ..transform import make_windows
-from .base import FittedModel, ForecasterSpec, MlpConfig, check_shape
+from .base import FittedModel, ForecasterSpec, MlpConfig, check_shape, descend, fitted
+from .base import recursive_forecast
 
 INIT_SCALE = 0.08
 
@@ -108,54 +108,35 @@ def fit_mlp(train: Series, config: MlpConfig, seed: int = 0) -> FittedModel:
     params = MlpParams(hidden_w, hidden_b, out_w, out_b)
 
     lr = config.learning_rate
-    losses = [float(np.mean((_forward(params, X) - y) ** 2))]
-    # a diverging run floods intermediate ops with inf/nan before the per-epoch
-    # finiteness check below raises; keep numpy quiet on that handled path
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(config.epochs):
-            grads, preds = mlp_gradients(params, X, y)
-            params = MlpParams(  # next_dow is set after training
-                hidden_w=params.hidden_w - lr * grads.hidden_w if h > 0 else None,
-                hidden_b=params.hidden_b - lr * grads.hidden_b if h > 0 else None,
-                out_w=params.out_w - lr * grads.out_w,
-                out_b=params.out_b - lr * grads.out_b,
-            )
-            err = preds - y
-            loss = float(np.mean(err * err))
-            if not np.isfinite(loss):
-                raise DivergenceError(f"MLP training diverged at epoch {epoch + 1}")
-            losses.append(loss)
 
-        final = float(np.mean((_forward(params, X) - y) ** 2))
-    if not np.isfinite(final):
-        raise DivergenceError(f"MLP training diverged at epoch {config.epochs}")
-    losses.append(final)
+    def epoch(params: MlpParams) -> tuple[MlpParams, float]:
+        grads, preds = mlp_gradients(params, X, y)
+        err = preds - y
+        return MlpParams(  # next_dow is set after training
+            hidden_w=params.hidden_w - lr * grads.hidden_w if h > 0 else None,
+            hidden_b=params.hidden_b - lr * grads.hidden_b if h > 0 else None,
+            out_w=params.out_w - lr * grads.out_w,
+            out_b=params.out_b - lr * grads.out_b,
+        ), float(np.mean(err * err))
+
+    def loss(params: MlpParams) -> float:
+        return float(np.mean((_forward(params, X) - y) ** 2))
+
+    params = descend("MLP", params, config.epochs, loss, epoch)
     next_dow = (train.start_date.weekday() + len(train)) % 7 if config.seasonal else None
-    params = replace(params, next_dow=next_dow, loss_history=tuple(losses))
-
-    return FittedModel(
-        spec=ForecasterSpec("mlp", config, seed),
-        params=params,
-        train_tail=train.values[-config.window :],
-        train_end_date=train.end_date,
-    )
+    return fitted(ForecasterSpec("mlp", config, seed), replace(params, next_dow=next_dow), train)
 
 
 def forecast_mlp(model: FittedModel, h: int) -> np.ndarray:
     config: MlpConfig = model.spec.config
     params: MlpParams = model.params
-    window = list(model.train_tail[-config.window :])
-    out = np.empty(h, dtype=np.float64)
-    for k in range(h):
+
+    def step(window: list, k: int) -> float:
         x = np.array(window, dtype=np.float64)[None, :]
-        dows = None
-        if config.seasonal:
-            dows = np.array([(params.next_dow + k) % 7])
-        pred = float(_forward(params, _features(x, dows))[0])
-        out[k] = pred
-        window.pop(0)
-        window.append(pred)
-    return out
+        dows = np.array([(params.next_dow + k) % 7]) if config.seasonal else None
+        return float(_forward(params, _features(x, dows))[0])
+
+    return recursive_forecast(model.train_tail[-config.window :], h, step)
 
 
 def insample_mlp(model: FittedModel, train: Series) -> tuple[np.ndarray, np.ndarray]:

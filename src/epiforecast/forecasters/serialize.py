@@ -61,7 +61,9 @@ def _decode(tp, value):
             return tuple(_decode(item_tp, item) for item in value)
         return tuple(value)  # scalars as read: loss histories run to thousands
     if tp in (int, float, bool):
-        if tp(value) != value or not math.isfinite(value):  # 1.5 for an int, "1", NaN, inf
+        # refuses 1.5 for an int, "1", NaN, inf, and a JSON boolean for a number or 1 for a bool
+        same = isinstance(value, bool) == (tp is bool) and tp(value) == value
+        if not same or not math.isfinite(value):
             raise ValueError(f"{value!r} is not a valid {tp.__name__}")
         return tp(value)
     return value
@@ -95,7 +97,7 @@ def model_from_dict(doc: dict) -> FittedModel:
         kind = doc["kind"]
         raw, hints = doc["config"], _field_types(CONFIG_TYPES[kind])  # unknown key: KeyError
         config = CONFIG_TYPES[kind](**{k: _decode(hints[k], raw[k]) for k in raw})
-        spec = ForecasterSpec(kind, config, int(doc["seed"]))
+        spec = ForecasterSpec(kind, config, _decode(int, doc["seed"]))
         if doc["diff_state"] is not None:
             raise ModelFileError(f"unsupported diff_state {doc['diff_state']!r}; expected null")
         family = FAMILIES[kind]

@@ -528,3 +528,74 @@ def oracle_windows(values, w):
     for i in range(v.size - w):
         inputs[i] = v[i : i + w]
     return inputs, v[w:].copy()
+
+
+# --- Recursive forecast loops reference ---------------------------------------
+# The per-family feedback loops that base.recursive_forecast replaced; every
+# forecast must stay bit-identical to them.
+
+
+def oracle_forecast_autoreg(model, h):
+    params = model.params
+    p = params.phi.size
+    history = list(model.train_tail[-p:])
+    out = np.empty(h, dtype=np.float64)
+    for k in range(h):
+        acc = params.c
+        for i in range(1, p + 1):
+            acc += params.phi[i - 1] * history[-i]
+        out[k] = acc
+        history.append(acc)
+    return out
+
+
+def oracle_forecast_arima(model, h):
+    order, params = model.spec.config, model.params
+    p, d, q = order.p, order.d, order.q
+    tail = model.train_tail
+    z_tail = tail
+    for _ in range(d):
+        z_tail = np.diff(z_tail)
+    z_hist = list(z_tail[-p:]) if p else []
+    resid = list(params.resid_tail)
+    diffs = np.empty(h, dtype=np.float64)
+    for k in range(h):
+        acc = params.c
+        for i in range(1, p + 1):
+            acc += params.phi[i - 1] * z_hist[-i]
+        for j in range(1, q + 1):
+            lag = k - j
+            if lag < 0 and len(resid) + lag >= 0:
+                acc += params.theta[j - 1] * resid[lag]
+        diffs[k] = acc
+        if p:
+            z_hist.append(acc)
+    return oracle_integrate_forecast(diffs, tail, d)
+
+
+def oracle_forecast_lstm(model, h):
+    window = list(model.train_tail[-model.spec.config.window :])
+    out = np.empty(h, dtype=np.float64)
+    for k in range(h):
+        pred, _ = lstm_forward(model.params, np.array(window))
+        out[k] = pred
+        window.pop(0)
+        window.append(pred)
+    return out
+
+
+def oracle_forecast_mlp(model, h):
+    config, params = model.spec.config, model.params
+    window = list(model.train_tail[-config.window :])
+    out = np.empty(h, dtype=np.float64)
+    for k in range(h):
+        x = np.array(window, dtype=np.float64)[None, :]
+        if config.seasonal:
+            onehot = np.zeros((1, 7))
+            onehot[0, (params.next_dow + k) % 7] = 1.0
+            x = np.concatenate([x, onehot], axis=1)
+        pred = float(oracle_mlp_forward(params, x)[0])
+        out[k] = pred
+        window.pop(0)
+        window.append(pred)
+    return out

@@ -739,3 +739,75 @@ def test_flooring_logs_one_line_per_model_and_keeps_the_csv_bytes(tmp_path, caps
     )
     expected = "date,target,model,point_forecast\r\n" + 2 * rows
     assert (out / "forecast.csv").read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize(
+    "spec, path, value, message",
+    [
+        (_spec("autoreg", p=3), ("seed",), 1.5, "1.5 is not a valid int"),
+        (_spec("autoreg", p=3), ("seed",), "7", "'7' is not a valid int"),
+        (_spec("autoreg", p=3), ("seed",), True, "True is not a valid int"),
+        (_spec("autoreg", p=3), ("params", "c"), True, "True is not a valid float"),
+        (_spec("autoreg", p=3), ("scaler", "min"), False, "False is not a valid float"),
+        (_spec("autoreg", p=3), ("config", "p"), True, "True is not a valid int"),
+        (_spec("mlp", window=3, hidden_units=2, epochs=5, learning_rate=0.1, seasonal=True),
+         ("config", "seasonal"), 1, "1 is not a valid bool"),
+    ],
+    ids=["fractional-seed", "string-seed", "boolean-seed", "boolean-param", "boolean-scaler",
+         "boolean-order", "integer-bool"],
+)
+def test_model_file_booleans_and_seeds_must_have_their_field_types(
+    tmp_path, capsys, spec, path, value, message
+):
+    model_path = saved_model_file(tmp_path, spec)
+    doc = json.loads(model_path.read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    model_path.write_text(json.dumps(doc))
+    assert main(["forecast", "--model-file", str(model_path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed model file: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_counts_beyond_int64_are_data_errors(tmp_path, capsys):
+    data = make_csv(tmp_path / "data.csv")
+    lines = data.read_text().splitlines()
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + f",{2**63 - 1}"
+    data.write_text("\n".join(lines) + "\n")
+    assert main(["validate", "--input", str(data)]) == 0
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",100000000000000000000"
+    data.write_text("\n".join(lines) + "\n")
+    assert main(["validate", "--input", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 4: count 100000000000000000000 in column recovered exceeds 2**63 - 1\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_plotdata_non_finite_forecast_is_data_error(tmp_path, capsys, value):
+    data = make_csv(tmp_path / "data.csv")
+    fc = tmp_path / "fc.csv"
+    fc.write_text(
+        "date,target,model,point_forecast\n"
+        "2020-04-01,deaths,arima,1.0\n"
+        f"2020-04-02,deaths,arima,{value}\n"
+    )
+    code = main(["plotdata", "--input", str(data), "--forecast", str(fc), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: line 3: non-finite point_forecast '{value}' in {fc}\n"
+    assert not (tmp_path / "plot_deaths.csv").exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+def test_out_that_cannot_be_created_is_usage_error(tmp_path, capsys, below):
+    _, model_path = fitted_model_file(tmp_path, capsys)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "sub" if below else blocker
+    assert main(["forecast", "--model-file", str(model_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create output directory {out}: ")
+    assert "Traceback" not in err
