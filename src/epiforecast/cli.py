@@ -37,7 +37,7 @@ from .backtest import (
     grid_search,
     render_table,
 )
-from .data import TARGETS, extract_series, parse_csv
+from .data import TARGETS, extract_series, parse_csv, write_output
 from .errors import EpiForecastError, ExhaustedGridError, ModelFileError, ParseError
 from .forecasters import (
     KINDS,
@@ -226,7 +226,7 @@ def _write_sidecar(path: Path, command: str, config: dict, wall_time_s: float) -
         "wall_time_s": round(wall_time_s, 3),
         "effective_config": config,
     }
-    Path(str(path) + ".meta.json").write_text(json.dumps(doc, indent=2) + "\n")
+    write_output(f"{path}.meta.json", json.dumps(doc, indent=2) + "\n")
 
 
 def _out_dir(effective: dict) -> Path:
@@ -308,11 +308,12 @@ def cmd_forecast(args) -> int:
             rows.append((day, model.target, label, 0.0 if value < 0.0 else float(value)))
     out = _out_dir(effective)
     path = out / "forecast.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "target", "model", "point_forecast"])
-        for day, target, label, value in rows:
-            writer.writerow([day, target, label, f"{value:.6f}"])
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["date", "target", "model", "point_forecast"])
+    for day, target, label, value in rows:
+        writer.writerow([day, target, label, f"{value:.6f}"])
+    write_output(path, text.getvalue())
     print(f"wrote {path} ({len(rows)} rows)")
     _write_sidecar(path, "forecast", effective, time.perf_counter() - t0)
     return EXIT_OK
@@ -339,7 +340,7 @@ def cmd_backtest(args) -> int:
     print(render_table(report))
     out = _out_dir(effective)
     path = out / "backtest_report.json"
-    path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    write_output(path, json.dumps(report.to_dict(), indent=2) + "\n")
     print(f"wrote {path}")
     sidecar_config = dict(effective)
     sidecar_config["wall_times_s"] = {
@@ -391,13 +392,14 @@ def cmd_plotdata(args) -> int:
     observed = extract_series(ds, target)
     out = _out_dir(effective)
     path = out / f"plot_{target}.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "series_name", "value"])
-        for i, value in enumerate(observed.values):
-            writer.writerow([observed.date_at(i).isoformat(), "observed", f"{value:.6f}"])
-        for day, model_label, value in blocks:
-            writer.writerow([day, model_label, f"{value:.6f}"])
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["date", "series_name", "value"])
+    for i, value in enumerate(observed.values):
+        writer.writerow([observed.date_at(i).isoformat(), "observed", f"{value:.6f}"])
+    for day, model_label, value in blocks:
+        writer.writerow([day, model_label, f"{value:.6f}"])
+    write_output(path, text.getvalue())
     print(f"wrote {path}")
     _write_sidecar(path, "plotdata", effective, time.perf_counter() - t0)
     return EXIT_OK

@@ -4,6 +4,7 @@ The on-disk format is a CSV with a header naming the columns Date, Confirmed,
 Deaths and Recovered (case-insensitive, any order), one row per calendar day,
 ISO-8601 dates, integer counts. Rows must be consecutive days; cumulative
 columns must be non-decreasing unless corrections are explicitly allowed.
+write_output is the package's one writer of output files.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 
@@ -167,12 +169,9 @@ def parse_csv(text: str | io.TextIOBase, *, allow_corrections: bool = False) -> 
         row_counts = {}
         for name in TARGETS:
             raw = cells[pos[name]].strip()
-            try:
-                value = int(raw)
-            except ValueError:
-                raise ParseError(
-                    f"unparseable count {raw!r} in column {name}", line=lineno
-                ) from None
+            if not (raw.isascii() and raw.removeprefix("-").isdigit()):  # -?[0-9]+
+                raise ParseError(f"unparseable count {raw!r} in column {name}", line=lineno)
+            value = int(raw)
             if value >= 2**63:  # the dataset stores counts as int64
                 raise ParseError(f"count {raw} in column {name} exceeds 2**63 - 1", line=lineno)
             row_counts[name] = value
@@ -282,3 +281,21 @@ def train_test_split(s: Series, test_fraction: float = 0.2) -> tuple[Series, Ser
         s.scale_state,
     )
     return train, test
+
+
+def write_output(path: str | Path, text: str) -> None:
+    """Replaces the file at path with text, written as is (newline="").
+
+    The old file is unlinked first, so the new one is created, not truncated:
+    ext4 (auto_da_alloc) flushes a truncated-and-rewritten file on close, and
+    every rerun would wait for it. A link at path is replaced, not written
+    through, and after a crash a just-written file can be empty. An OSError
+    is a usage error (exit 1).
+    """
+    path = Path(path)
+    try:
+        path.unlink(missing_ok=True)
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ContractError(f"cannot write {path}: {exc}") from exc

@@ -18,7 +18,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from ..data import TARGETS
+from ..data import TARGETS, write_output
 from ..errors import ModelFileError
 from ..transform import MinMaxScaler
 from .base import CONFIG_TYPES, FittedModel, ForecasterSpec, check_shape
@@ -40,10 +40,22 @@ def _encode(value):
 
 _field_types = cache(get_type_hints)  # annotations of a config or params dataclass, by field
 
+_LEAF_KINDS = {float: {int, float}, str: {str}}  # JSON kinds of array and tuple items
+
+
+def _check_leaves(items, item_tp) -> None:
+    """Refuses an item whose JSON kind is not item_tp's: a boolean, string, null
+    or list for a number, anything but a string for a string."""
+    kinds = _LEAF_KINDS[item_tp]
+    if not set(map(type, items)) <= kinds:
+        bad = next(item for item in items if type(item) not in kinds)
+        raise ValueError(f"{bad!r} is not a valid {item_tp.__name__}")
+
 
 def _decode(tp, value):
     """Inverse of _encode, driven by the field annotations of the config, params
-    or scaler type. Refuses NaN and infinities in every float and array."""
+    or scaler type. Refuses NaN and infinities in every float and array, and
+    any leaf whose JSON kind is not its field's."""
     if is_dataclass(tp):
         return tp(**{name: _decode(ftp, value[name]) for name, ftp in _field_types(tp).items()})
     if get_origin(tp) in (Union, types.UnionType):  # X | None
@@ -51,7 +63,9 @@ def _decode(tp, value):
             return None
         (tp,) = [arg for arg in get_args(tp) if arg is not type(None)]
     if tp is np.ndarray:
-        array = np.asarray(value, dtype=np.float64)
+        leaves = np.asarray(value, dtype=object)  # a ragged row stays one list leaf
+        _check_leaves(leaves.ravel(), float)
+        array = leaves.astype(np.float64)
         if not np.isfinite(array).all():
             raise ValueError(f"{array[~np.isfinite(array)][0]} is not a finite number")
         return array
@@ -59,7 +73,10 @@ def _decode(tp, value):
         item_tp = get_args(tp)[0]
         if is_dataclass(item_tp):
             return tuple(_decode(item_tp, item) for item in value)
-        return tuple(value)  # scalars as read: loss histories run to thousands
+        if not isinstance(value, list):
+            raise ValueError(f"{value!r} is not a list")
+        _check_leaves(value, item_tp)
+        return tuple(value)  # numbers as read: loss histories are not checked for NaN
     if tp in (int, float, bool):
         # refuses 1.5 for an int, "1", NaN, inf, and a JSON boolean for a number or 1 for a bool
         same = isinstance(value, bool) == (tp is bool) and tp(value) == value
@@ -125,8 +142,7 @@ def model_from_dict(doc: dict) -> FittedModel:
 
 
 def save_model(model: FittedModel, path: str | Path) -> None:
-    doc = model_to_dict(model)
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    write_output(path, json.dumps(model_to_dict(model), indent=2) + "\n")
 
 
 def load_model(path: str | Path) -> FittedModel:

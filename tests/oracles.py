@@ -8,6 +8,10 @@ well-conditioned parameter points.
 
 from __future__ import annotations
 
+import csv
+import json
+from pathlib import Path
+
 import numpy as np
 
 from epiforecast.forecasters.additive import AdditiveParams
@@ -599,3 +603,22 @@ def oracle_forecast_mlp(model, h):
         window.pop(0)
         window.append(pred)
     return out
+
+
+# --- Output writers -----------------------------------------------------------
+# The idioms the CLI and save_model wrote their files with before every output
+# went through data.write_output; outputs must stay byte-identical to them.
+
+
+def oracle_write_csv(path, header, rows):
+    """The forecast and plot CSV writer: csv.writer on a file opened with newline=""."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+
+
+def oracle_write_json(path, doc):
+    """The model file, report and sidecar writer."""
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")

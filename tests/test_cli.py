@@ -811,3 +811,74 @@ def test_out_that_cannot_be_created_is_usage_error(tmp_path, capsys, below):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot create output directory {out}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("count", ["1_000", "２０００", "+7", "1 000", "0x10"])
+def test_counts_must_be_ascii_digits(tmp_path, capsys, count):
+    data = make_csv(tmp_path / "data.csv")
+    lines = data.read_text().splitlines()
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + f",{count}"
+    data.write_text("\n".join(lines) + "\n")
+    assert main(["validate", "--input", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: line 31: unparseable count {count!r} in column recovered\n"
+
+
+def test_a_negative_count_still_reaches_the_negative_count_check(tmp_path, capsys):
+    data = make_csv(tmp_path / "data.csv")
+    lines = data.read_text().splitlines()
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + ",-1"
+    data.write_text("\n".join(lines) + "\n")
+    assert main(["validate", "--input", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: negative count -1 in column recovered on 2020-03-26\n"
+
+
+_MLP = _spec("mlp", window=3, hidden_units=2, epochs=5, learning_rate=0.1, seasonal=True)
+
+
+@pytest.mark.parametrize(
+    "spec, path, value, message",
+    [
+        (_spec("autoreg", p=3), ("params", "phi"), [True, False, 0.0], "True is not a valid float"),
+        (_spec("autoreg", p=3), ("params", "phi"), ["0.5", 0.0, 0.0], "'0.5' is not a valid float"),
+        (_spec("autoreg", p=3), ("params", "phi"), [None, 0.0, 0.0], "None is not a valid float"),
+        (_spec("autoreg", p=3), ("params", "phi"), [[0.5], 0.0, 0.0], "[0.5] is not a valid float"),
+        (_spec("autoreg", p=3), ("train_tail", 0), True, "True is not a valid float"),
+        (_MLP, ("params", "loss_history"), "abc", "'abc' is not a list"),
+        (_MLP, ("params", "loss_history"), [0.5, False], "False is not a valid float"),
+        (_MLP, ("params", "hidden_w", 0, 0), "1", "'1' is not a valid float"),
+        (_spec("arima", p=1, d=1, q=1), ("params", "warnings"), [1], "1 is not a valid str"),
+    ],
+    ids=["boolean-phi", "string-phi", "null-phi", "nested-phi", "boolean-train_tail",
+         "string-loss_history", "boolean-loss_history", "string-hidden_w", "number-warning"],
+)
+def test_model_file_array_and_list_items_keep_their_json_kind(
+    tmp_path, capsys, spec, path, value, message
+):
+    model_path = saved_model_file(tmp_path, spec)
+    doc = json.loads(model_path.read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    model_path.write_text(json.dumps(doc))
+    out = tmp_path / "fc"
+    assert main(["forecast", "--model-file", str(model_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: malformed model file: {message}\n"
+    assert not (out / "forecast.csv").exists()
+
+
+def test_integer_array_items_load_as_floats(tmp_path, capsys):
+    model_path = saved_model_file(tmp_path, _spec("autoreg", p=3))
+    doc = json.loads(model_path.read_text())
+    doc["params"]["phi"] = [0.0, 1.0, 0.0]
+    model_path.write_text(json.dumps(doc))
+    args = ["forecast", "--model-file", str(model_path), "--out", str(tmp_path)]
+    assert main(args) == 0
+    expected = (tmp_path / "forecast.csv").read_bytes()
+    doc["params"]["phi"] = [0, 1, 0]
+    model_path.write_text(json.dumps(doc))
+    assert main(args) == 0
+    assert (tmp_path / "forecast.csv").read_bytes() == expected
