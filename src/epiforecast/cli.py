@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
-import io
+import contextlib
 import json
 import logging
-import math
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import MISSING, asdict, fields, replace
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
@@ -37,8 +36,17 @@ from .backtest import (
     grid_search,
     render_table,
 )
-from .data import TARGETS, extract_series, parse_csv, write_output
-from .errors import EpiForecastError, ExhaustedGridError, ModelFileError, ParseError
+from .data import (
+    FORECAST_HEADER,
+    TARGETS,
+    EpidemicDataset,
+    csv_text,
+    extract_series,
+    parse_csv,
+    read_forecast_csv,
+    write_output,
+)
+from .errors import ContractError, EpiForecastError, ExhaustedGridError, ModelFileError
 from .forecasters import (
     KINDS,
     ForecasterSpec,
@@ -64,6 +72,9 @@ DEFAULTS = {
     "out": ".",
 }
 
+# The model column of forecast.csv, the series names of the plot CSV
+LABELS = {kind: name.lower().replace(" ", "") for kind, name in DISPLAY_NAMES.items()}
+
 
 class UsageError(EpiForecastError):
     """Bad flags, input path, config or grid file. Not a ValueError, so the grid
@@ -81,46 +92,31 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="epiforecast", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, config=True):
-        p.add_argument("--out", help="output directory (default: current directory)")
-        if config:
-            p.add_argument("--config", help="INI config file; flags override it")
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--input", required=True)
+    data.add_argument("--allow-corrections", action="store_true")
+    tuning = argparse.ArgumentParser(add_help=False)
+    tuning.add_argument("--target", choices=TARGETS)
+    tuning.add_argument("--grid", help="INI grid file overriding default candidates")
+    tuning.add_argument("--seed", type=int)
+    tuning.add_argument("--test-fraction", type=float, dest="test_fraction")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", help="output directory (default: current directory)")
+    output.add_argument("--config", help="INI config file; flags override it")
 
-    p = sub.add_parser("validate", help="parse a CSV and report its shape and checks")
-    p.add_argument("--input", required=True)
-    p.add_argument("--allow-corrections", action="store_true")
-
-    p = sub.add_parser("fit", help="fit one model (grid-searched) and write a model file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--target", choices=TARGETS)
+    sub.add_parser("validate", parents=[data], help="parse a CSV and report its shape and checks")
+    p = sub.add_parser("fit", parents=[data, tuning, output],
+                       help="fit one model (grid-searched) and write a model file")
     p.add_argument("--model", required=True, choices=KINDS)
-    p.add_argument("--grid", help="INI grid file overriding default candidates")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--test-fraction", type=float, dest="test_fraction")
-    p.add_argument("--allow-corrections", action="store_true")
-    common(p)
-
-    p = sub.add_parser("forecast", help="forecast from saved model files")
+    p = sub.add_parser("forecast", parents=[output], help="forecast from saved model files")
     p.add_argument("--model-file", action="append", required=True, dest="model_files")
     p.add_argument("--horizon", type=int)
-    common(p)
-
-    p = sub.add_parser("backtest", help="compare model families on one holdout split")
-    p.add_argument("--input", required=True)
-    p.add_argument("--target", choices=TARGETS)
+    p = sub.add_parser("backtest", parents=[data, tuning, output],
+                       help="compare model families on one holdout split")
     p.add_argument("--models", help="comma-separated kinds (default: all five)")
-    p.add_argument("--grid", help="INI grid file overriding default candidates")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--test-fraction", type=float, dest="test_fraction")
-    p.add_argument("--allow-corrections", action="store_true")
-    common(p)
-
-    p = sub.add_parser("plotdata", help="merge observed data and forecasts into tidy CSV")
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("plotdata", parents=[data, output],
+                       help="merge observed data and forecasts into tidy CSV")
     p.add_argument("--forecast", action="append", required=True, dest="forecasts")
-    p.add_argument("--allow-corrections", action="store_true")
-    common(p)
-
     return parser
 
 
@@ -136,24 +132,27 @@ def _read_ini(path: str, what: str) -> configparser.ConfigParser:
     return ini
 
 
-def _resolve(args, *keys) -> dict:
-    """flags > config-file [run] section > defaults, for the requested keys."""
+def _resolve(args) -> dict:
+    """flags > config-file [run] section > defaults, for each DEFAULTS key the
+    command has a flag for; every other flag is recorded as given. One config
+    file serves every command, so [run] may hold keys another command uses."""
+    keys = [k for k in DEFAULTS if hasattr(args, k)]
     effective = {k: DEFAULTS[k] for k in keys}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        ini = _read_ini(config_path, "config")
+    if getattr(args, "config", None):
+        ini = _read_ini(args.config, "config")
         if ini.has_section("run"):
-            for k in keys:
-                if ini.has_option("run", k):
-                    try:
-                        raw = ini.get("run", k)
-                        effective[k] = type(DEFAULTS[k])(raw) if k != "target" else raw
-                    except (ValueError, configparser.Error) as exc:
-                        raise UsageError(f"config [run] {k}: {exc}") from exc
-    for k in keys:
-        value = getattr(args, k, None)
-        if value is not None:
-            effective[k] = value
+            unknown = set(ini.options("run")) - set(DEFAULTS)
+            if unknown:
+                raise UsageError(f"unknown keys {sorted(unknown)} in config section [run]")
+            for k in [k for k in keys if ini.has_option("run", k)]:
+                try:
+                    effective[k] = type(DEFAULTS[k])(ini.get("run", k))
+                except (ValueError, configparser.Error) as exc:
+                    raise UsageError(f"config [run] {k}: {exc}") from exc
+    for k, value in vars(args).items():
+        if (k in DEFAULTS and value is None) or k in ("command", "config", "allow_corrections"):
+            continue
+        effective[k] = value
     if "target" in effective and effective["target"] not in TARGETS:
         raise UsageError(f"unknown target {effective['target']!r}")
     return effective
@@ -218,54 +217,75 @@ def _candidate_grids(seed: int, grid_path: str | None) -> dict[str, list[Forecas
     return grids
 
 
-def _write_sidecar(path: Path, command: str, config: dict, wall_time_s: float) -> None:
-    doc = {
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-        "command": command,
-        "package_version": __version__,
-        "wall_time_s": round(wall_time_s, 3),
-        "effective_config": config,
-    }
-    write_output(f"{path}.meta.json", json.dumps(doc, indent=2) + "\n")
-
-
-def _out_dir(effective: dict) -> Path:
-    out = Path(effective.get("out", "."))
+def _read_text(path: str) -> str:
     try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file stands at the path or above it, or no permission
-        raise UsageError(f"cannot create output directory {out}: {exc}") from exc
-    return out
+        return Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def cmd_validate(args) -> int:
-    text = _read_text(args.input)
-    ds = parse_csv(text, allow_corrections=args.allow_corrections)
+class _Run:
+    """The steps every command shares: its start time, its effective options,
+    reading --input, and writing an output with its .meta.json sidecar."""
+
+    def __init__(self, args):
+        self.t0 = time.perf_counter()
+        self.args = args
+        self.config = _resolve(args)
+
+    def dataset(self) -> EpidemicDataset:
+        return parse_csv(_read_text(self.args.input), allow_corrections=self.args.allow_corrections)
+
+    def write(self, name: str, save: Callable[[Path], object], **extra) -> Path:
+        """Creates --out, writes name there with save(path), then its sidecar
+        with the effective options and extra. A write error leaves neither
+        file behind, so no output stands without its sidecar."""
+        out = Path(self.config["out"])
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file stands at the path or above it, or no permission
+            raise UsageError(f"cannot create output directory {out}: {exc}") from exc
+        path = out / name
+        sidecar = Path(f"{path}.meta.json")
+        try:
+            save(path)
+            doc = {
+                "created_utc": datetime.now(timezone.utc).isoformat(),
+                "command": self.args.command,
+                "package_version": __version__,
+                "wall_time_s": round(time.perf_counter() - self.t0, 3),
+                "effective_config": {**self.config, **extra},
+            }
+            write_output(sidecar, json.dumps(doc, indent=2) + "\n")
+        except ContractError:
+            for stale in (path, sidecar):
+                with contextlib.suppress(OSError):  # absent, or a directory stands there
+                    stale.unlink()
+            raise
+        return path
+
+
+def cmd_validate(args) -> None:
+    ds = _Run(args).dataset()
     print(f"{len(ds)} records, {ds.start_date.isoformat()}..{ds.end_date.isoformat()}")
     for name in TARGETS:
         status = "non-decreasing" if ds.column_monotone(name) else "has corrections"
         print(f"{name}: {status}")
-    return EXIT_OK
 
 
-def cmd_fit(args) -> int:
-    t0 = time.perf_counter()
-    effective = _resolve(args, "target", "seed", "test_fraction", "out")
-    effective.update({"input": args.input, "model": args.model, "grid": args.grid})
-    ds = parse_csv(_read_text(args.input), allow_corrections=args.allow_corrections)
-    s = extract_series(ds, effective["target"])
-    candidates = _candidate_grids(effective["seed"], args.grid)[args.model]
-    protocol = EvalProtocol(test_fraction=effective["test_fraction"])
+def cmd_fit(args) -> None:
+    run = _Run(args)
+    target = run.config["target"]
+    s = extract_series(run.dataset(), target)
+    candidates = _candidate_grids(run.config["seed"], args.grid)[args.model]
+    protocol = EvalProtocol(test_fraction=run.config["test_fraction"])
     if len(candidates) == 1:
         chosen, model, validation_mse = candidates[0], fit_normalized(candidates[0], s), None
     else:
         chosen, model, validation_mse = grid_search(candidates, s, protocol)
-    model = replace(model, target=effective["target"])
-    normalized = scale(model.scaler, s)
-    actual, predicted = insample_predictions(model, normalized)
-    out = _out_dir(effective)
-    path = out / f"model_{effective['target']}_{args.model}.json"
-    save_model(model, path)
+    model = replace(model, target=target)
+    actual, predicted = insample_predictions(model, scale(model.scaler, s))
+    path = run.write(f"model_{target}_{args.model}.json", lambda p: save_model(model, p))
     print(f"model: {args.model}")
     print(f"hyperparameters: {json.dumps(asdict(chosen.config), sort_keys=True)}")
     print(f"seed: {chosen.seed}")
@@ -274,15 +294,11 @@ def cmd_fit(args) -> int:
     print(f"train mse: {mse(actual, predicted):.6g}")
     print(f"train r2: {fit_score(actual, predicted):.6g}")
     print(f"wrote {path}")
-    _write_sidecar(path, "fit", effective, time.perf_counter() - t0)
-    return EXIT_OK
 
 
-def cmd_forecast(args) -> int:
-    t0 = time.perf_counter()
-    effective = _resolve(args, "horizon", "out")
-    effective["model_files"] = list(args.model_files)
-    horizon = effective["horizon"]
+def cmd_forecast(args) -> None:
+    run = _Run(args)
+    horizon = run.config["horizon"]
     rows = []
     for model_path in args.model_files:
         model = load_model(model_path)
@@ -293,123 +309,61 @@ def cmd_forecast(args) -> int:
         if (date.max - model.train_end_date).days < horizon:
             raise UsageError(f"--horizon {horizon} ends after {date.max} for {model_path}")
         values = model.scaler.inverse(forecast(model, horizon))
-        label = DISPLAY_NAMES[model.spec.kind].lower().replace(" ", "")
         days = [(model.train_end_date + timedelta(days=k + 1)).isoformat() for k in range(horizon)]
         floored = [day for day, value in zip(days, values) if value < 0.0]
         if floored:
             logger.warning(
                 "floored %d negative %s forecasts to 0 for %s, the first on %s",
-                len(floored),
-                model.target,
-                model_path,
-                floored[0],
+                len(floored), model.target, model_path, floored[0],
             )
+        label = LABELS[model.spec.kind]
         for day, value in zip(days, values):
             rows.append((day, model.target, label, 0.0 if value < 0.0 else float(value)))
-    out = _out_dir(effective)
-    path = out / "forecast.csv"
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(["date", "target", "model", "point_forecast"])
-    for day, target, label, value in rows:
-        writer.writerow([day, target, label, f"{value:.6f}"])
-    write_output(path, text.getvalue())
+    path = run.write("forecast.csv", lambda p: write_output(p, csv_text(FORECAST_HEADER, rows)))
     print(f"wrote {path} ({len(rows)} rows)")
-    _write_sidecar(path, "forecast", effective, time.perf_counter() - t0)
-    return EXIT_OK
 
 
-def cmd_backtest(args) -> int:
-    t0 = time.perf_counter()
-    effective = _resolve(args, "target", "seed", "test_fraction", "out")
-    effective.update({"input": args.input, "grid": args.grid, "models": args.models})
-    ds = parse_csv(_read_text(args.input), allow_corrections=args.allow_corrections)
-    s = extract_series(ds, effective["target"])
-    kinds = list(KINDS) if not args.models else [
-        k.strip() for k in args.models.split(",")
-    ]
+def cmd_backtest(args) -> None:
+    run = _Run(args)
+    s = extract_series(run.dataset(), run.config["target"])
+    kinds = [k.strip() for k in args.models.split(",")] if args.models else list(KINDS)
     unknown = [k for k in kinds if k not in KINDS]
     if unknown:
         raise UsageError(f"unknown model kinds: {', '.join(unknown)}")
-    # keep the standard presentation order
-    kinds = [k for k in DISPLAY_NAMES if k in kinds]
-    grids = _candidate_grids(effective["seed"], args.grid)
-    entries = [(DISPLAY_NAMES[k], grids[k]) for k in kinds]
-    protocol = EvalProtocol(test_fraction=effective["test_fraction"])
-    report = compare_models(entries, s, protocol, target=effective["target"])
+    grids = _candidate_grids(run.config["seed"], args.grid)
+    # in the standard presentation order
+    entries = [(name, grids[k]) for k, name in DISPLAY_NAMES.items() if k in kinds]
+    protocol = EvalProtocol(test_fraction=run.config["test_fraction"])
+    report = compare_models(entries, s, protocol, target=run.config["target"])
     print(render_table(report))
-    out = _out_dir(effective)
-    path = out / "backtest_report.json"
-    write_output(path, json.dumps(report.to_dict(), indent=2) + "\n")
+    text = json.dumps(report.to_dict(), indent=2) + "\n"
+    wall_times_s = {row.name: round(row.wall_time_s, 3) for row in report.rows}
+    path = run.write(
+        "backtest_report.json", lambda p: write_output(p, text), wall_times_s=wall_times_s
+    )
     print(f"wrote {path}")
-    sidecar_config = dict(effective)
-    sidecar_config["wall_times_s"] = {
-        row.name: round(row.wall_time_s, 3) for row in report.rows
-    }
-    _write_sidecar(path, "backtest", sidecar_config, time.perf_counter() - t0)
     if all(row.error is not None for row in report.rows):
         raise ExhaustedGridError("every model failed; see the report for reasons")
-    return EXIT_OK
 
 
-def cmd_plotdata(args) -> int:
-    t0 = time.perf_counter()
-    effective = _resolve(args, "out")
-    effective.update({"input": args.input, "forecasts": list(args.forecasts)})
-    ds = parse_csv(_read_text(args.input), allow_corrections=args.allow_corrections)
-    blocks = []
-    targets = set()
+def cmd_plotdata(args) -> None:
+    run = _Run(args)
+    ds = run.dataset()
+    rows = []
     for fc_path in args.forecasts:
-        text = _read_text(fc_path)
-        reader = csv.reader(io.StringIO(text))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"forecast file {fc_path} is empty") from None
-        if header != ["date", "target", "model", "point_forecast"]:
-            raise UsageError(f"{fc_path} is not a forecast CSV (bad header)")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise ParseError(f"bad forecast row in {fc_path}", line=lineno)
-            day, target, model_label, value = row
-            try:
-                value = float(value)
-            except ValueError:
-                raise ParseError(
-                    f"non-numeric point_forecast {value!r} in {fc_path}", line=lineno
-                ) from None
-            if not math.isfinite(value):
-                raise ParseError(f"non-finite point_forecast {row[3]!r} in {fc_path}", line=lineno)
-            targets.add(target)
-            blocks.append((day, model_label, value))
+        rows += read_forecast_csv(_read_text(fc_path), fc_path, LABELS.values())
+    targets = {target for _, target, _, _ in rows}
     if len(targets) != 1:
         raise UsageError(
             f"forecast files must share one target, found: {sorted(targets) or 'none'}"
         )
-    target = targets.pop()
-    if target not in TARGETS:
-        raise UsageError(f"unknown target {target!r} in forecast files")
+    (target,) = targets
     observed = extract_series(ds, target)
-    out = _out_dir(effective)
-    path = out / f"plot_{target}.csv"
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(["date", "series_name", "value"])
-    for i, value in enumerate(observed.values):
-        writer.writerow([observed.date_at(i).isoformat(), "observed", f"{value:.6f}"])
-    for day, model_label, value in blocks:
-        writer.writerow([day, model_label, f"{value:.6f}"])
-    write_output(path, text.getvalue())
+    plot = [(observed.date_at(i).isoformat(), "observed", v) for i, v in enumerate(observed.values)]
+    plot += [(day, label, value) for day, _, label, value in rows]
+    header = ("date", "series_name", "value")
+    path = run.write(f"plot_{target}.csv", lambda p: write_output(p, csv_text(header, plot)))
     print(f"wrote {path}")
-    _write_sidecar(path, "plotdata", effective, time.perf_counter() - t0)
-    return EXIT_OK
-
-
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -419,17 +373,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        handlers = {
-            "validate": cmd_validate,
-            "fit": cmd_fit,
-            "forecast": cmd_forecast,
-            "backtest": cmd_backtest,
-            "plotdata": cmd_plotdata,
-        }
-        return handlers[args.command](args)
+        globals()[f"cmd_{args.command}"](args)  # looked up per call, so it can be wrapped
     except EpiForecastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

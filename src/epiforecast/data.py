@@ -4,6 +4,7 @@ The on-disk format is a CSV with a header naming the columns Date, Confirmed,
 Deaths and Recovered (case-insensitive, any order), one row per calendar day,
 ISO-8601 dates, integer counts. Rows must be consecutive days; cumulative
 columns must be non-decreasing unless corrections are explicitly allowed.
+csv_text writes the CSV outputs and read_forecast_csv reads forecast.csv back;
 write_output is the package's one writer of output files.
 """
 
@@ -24,6 +25,7 @@ from .errors import ContractError, ParseError, StructuralError, ValidationError
 logger = logging.getLogger(__name__)
 
 TARGETS = ("confirmed", "deaths", "recovered")
+FORECAST_HEADER = ("date", "target", "model", "point_forecast")
 
 SERIES_KINDS = ("cumulative", "incident")
 SCALE_STATES = ("raw", "normalized")
@@ -213,6 +215,52 @@ def parse_csv(text: str | io.TextIOBase, *, allow_corrections: bool = False) -> 
         recovered=np.array(counts["recovered"], dtype=np.int64),
         corrections_allowed=allow_corrections,
     )
+
+
+def csv_text(header, rows) -> str:
+    """The text of a CSV output: csv.writer's default dialect, so CRLF line
+    ends. The last cell of each row is its value, written as f"{v:.6f}"."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows((*row[:-1], f"{row[-1]:.6f}") for row in rows)
+    return text.getvalue()
+
+
+def read_forecast_csv(text: str, path, labels) -> list[tuple[str, str, str, float]]:
+    """The (date, target, label, value) rows of the forecast CSV read from path.
+    Only rows the writer writes pass: an ISO date, a target in TARGETS, a label
+    in labels and a finite value >= 0; any other is a ParseError on its line."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None:
+        raise ParseError(f"forecast file {path} is empty")
+    if tuple(header) != FORECAST_HEADER:
+        raise ContractError(f"{path} is not a forecast CSV (bad header)")
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(FORECAST_HEADER):
+            raise ParseError(f"bad forecast row in {path}", line=lineno)
+        day, target, label, raw = row
+        try:
+            if date.fromisoformat(day).isoformat() != day:  # the writer's YYYY-MM-DD only
+                raise ValueError(day)
+        except ValueError:
+            raise ParseError(f"date {day!r} is not an ISO date in {path}", line=lineno) from None
+        if target not in TARGETS:
+            raise ParseError(f"unknown target {target!r} in {path}", line=lineno)
+        if label not in labels:
+            raise ParseError(f"unknown model label {label!r} in {path}", line=lineno)
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ParseError(f"non-numeric point_forecast {raw!r} in {path}", line=lineno) from None
+        if not math.isfinite(value):
+            raise ParseError(f"non-finite point_forecast {raw!r} in {path}", line=lineno)
+        if value < 0.0:
+            raise ParseError(f"negative point_forecast {raw!r} in {path}", line=lineno)
+        rows.append((day, target, label, value))
+    return rows
 
 
 def extract_series(ds: EpidemicDataset, target: str) -> Series:

@@ -9,6 +9,7 @@ well-conditioned parameter points.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from pathlib import Path
 
@@ -622,3 +623,29 @@ def oracle_write_csv(path, header, rows):
 def oracle_write_json(path, doc):
     """The model file, report and sidecar writer."""
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+
+
+# --- CSV text builders ----------------------------------------------------------
+# cmd_forecast and cmd_plotdata built their CSV text this way before data.csv_text.
+
+
+def oracle_forecast_csv_text(rows):
+    """forecast.csv from (day, target, label, value) rows, values already floored."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["date", "target", "model", "point_forecast"])
+    for day, target, label, value in rows:
+        writer.writerow([day, target, label, f"{value:.6f}"])
+    return text.getvalue()
+
+
+def oracle_plot_csv_text(observed, blocks):
+    """plot_<target>.csv from the observed Series and (day, label, value) blocks."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["date", "series_name", "value"])
+    for i, value in enumerate(observed.values):
+        writer.writerow([observed.date_at(i).isoformat(), "observed", f"{value:.6f}"])
+    for day, model_label, value in blocks:
+        writer.writerow([day, model_label, f"{value:.6f}"])
+    return text.getvalue()

@@ -882,3 +882,65 @@ def test_integer_array_items_load_as_floats(tmp_path, capsys):
     model_path.write_text(json.dumps(doc))
     assert main(args) == 0
     assert (tmp_path / "forecast.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("not-a-date,deaths,anything,1e300", "date 'not-a-date' is not an ISO date"),
+        ("2020-4-2,deaths,arima,1.0", "date '2020-4-2' is not an ISO date"),
+        ("20200402,deaths,arima,1.0", "date '20200402' is not an ISO date"),
+        ("2020-02-30,deaths,arima,1.0", "date '2020-02-30' is not an ISO date"),
+        ("2020-04-02,Deaths,arima,1.0", "unknown target 'Deaths'"),
+        ("2020-04-02,deaths,anything,1.0", "unknown model label 'anything'"),
+        ("2020-04-02,deaths,AUTO REG,1.0", "unknown model label 'AUTO REG'"),
+        ("2020-04-02,deaths,arima,-5", "negative point_forecast '-5'"),
+        ("2020-04-02,deaths,arima,-1e-9", "negative point_forecast '-1e-9'"),
+    ],
+)
+def test_plotdata_refuses_rows_the_forecast_writer_never_writes(tmp_path, capsys, row, message):
+    data = make_csv(tmp_path / "data.csv")
+    fc = tmp_path / "fc.csv"
+    fc.write_text("date,target,model,point_forecast\n2020-04-01,deaths,arima,1.0\n" + row + "\n")
+    code = main(["plotdata", "--input", str(data), "--forecast", str(fc), "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: line 3: {message} in {fc}\n"
+    assert not (tmp_path / "plot_deaths.csv").exists()
+
+
+def test_plotdata_reads_lf_and_crlf_forecast_files_alike(tmp_path, capsys):
+    data = make_csv(tmp_path / "data.csv")
+    lines = [
+        "date,target,model,point_forecast",
+        "2020-03-27,deaths,prophet,12.500000",
+        "2020-03-27,deaths,ann,-0.000000",  # the writer keeps a -0.0 forecast's sign
+    ]
+    for end in ("\n", "\r\n"):
+        out = tmp_path / repr(end)
+        fc = tmp_path / "fc.csv"
+        fc.write_bytes((end.join(lines) + end).encode())
+        assert main(["plotdata", "--input", str(data), "--forecast", str(fc), "--out", str(out)]) == 0
+    capsys.readouterr()
+    plots = [(tmp_path / repr(end) / "plot_deaths.csv").read_bytes() for end in ("\n", "\r\n")]
+    assert plots[0] == plots[1]
+    assert plots[0].endswith(b"2020-03-27,prophet,12.500000\r\n2020-03-27,ann,-0.000000\r\n")
+
+
+def test_unknown_config_run_key_is_usage_error(tmp_path, capsys):
+    data = make_csv(tmp_path / "data.csv", n=60)
+    grid = write_grid(tmp_path / "grid.ini", "[autoreg]\np = 3\n")
+    config = tmp_path / "run.ini"
+    out = tmp_path / "out"
+    argv = [
+        "fit", "--input", str(data), "--model", "autoreg", "--grid", str(grid),
+        "--config", str(config), "--out", str(out),
+    ]
+    config.write_text("[run]\ntagret = deaths\n")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: unknown keys ['tagret'] in config section [run]\n"
+    assert not out.exists()
+    # one config file serves every command, so fit accepts forecast's horizon
+    config.write_text("[run]\ntarget = deaths\nhorizon = 7\n")
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert (out / "model_deaths_autoreg.json").exists()

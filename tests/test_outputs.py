@@ -2,17 +2,28 @@
 bytes of the write idioms it replaced."""
 
 import csv
+import importlib.util
 import json
 import os
+from datetime import date, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from epiforecast import cli
 from epiforecast.cli import main
-from epiforecast.data import write_output
+from epiforecast.data import FORECAST_HEADER, Series, csv_text, read_forecast_csv, write_output
 from epiforecast.errors import ContractError
 from epiforecast.forecasters import load_model, model_to_dict
-from oracles import oracle_write_csv, oracle_write_json
+from oracles import (
+    oracle_forecast_csv_text,
+    oracle_plot_csv_text,
+    oracle_write_csv,
+    oracle_write_json,
+)
 
 COMMANDS = ("fit", "forecast", "backtest", "plotdata")
 
@@ -120,3 +131,90 @@ def test_output_path_held_by_a_directory_is_usage_error(tmp_path, iran_path, cap
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {blocked}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_an_output_whose_sidecar_cannot_be_written_is_removed(
+    tmp_path, iran_path, capsys, command
+):
+    argv, output = run_commands(tmp_path, iran_path, capsys)[command]
+    blocked = sidecar(output)
+    blocked.unlink()
+    blocked.mkdir()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {blocked}: ")
+    assert not output.exists()
+    assert f"wrote {output}" not in captured.out
+    assert blocked.is_dir()
+
+
+# -0.0 is kept as written, -1e-9 is floored, 5e-7 rounds at the sixth decimal
+# and 1e300 prints as a 301-digit number.
+CELLS = st.one_of(
+    st.sampled_from([-0.0, -1e-9, 5e-7, 1e300]),
+    st.floats(min_value=-1e3, max_value=1e15),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(values=st.lists(CELLS, min_size=1, max_size=12), as_numpy=st.booleans())
+def test_csv_text_is_byte_equal_to_the_old_csv_builders(values, as_numpy):
+    cells = list(np.asarray(values, dtype=np.float64)) if as_numpy else values
+    start = date(2021, 3, 13)
+    days = [(start + timedelta(days=k)).isoformat() for k in range(len(cells))]
+    # floored as cmd_forecast floors them
+    rows = [(day, "deaths", "arima", 0.0 if v < 0.0 else v) for day, v in zip(days, cells)]
+    text = csv_text(FORECAST_HEADER, rows)
+    assert text == oracle_forecast_csv_text(rows)
+    assert read_forecast_csv(text, "forecast.csv", {"arima"}) == [
+        (day, target, label, float(f"{v:.6f}")) for day, target, label, v in rows
+    ]
+    observed = Series(np.abs(np.asarray(values, dtype=np.float64)), start)
+    blocks = [(day, label, v) for day, _, label, v in rows]
+    plot = [(observed.date_at(i).isoformat(), "observed", v) for i, v in enumerate(observed.values)]
+    assert csv_text(("date", "series_name", "value"), plot + blocks) == oracle_plot_csv_text(
+        observed, blocks
+    )
+
+
+# Which commands call each epiforecast.cli attribute the benchmark's tracer wraps
+CALLERS = {
+    "cmd_forecast": {"forecast"},
+    "parse_csv": {"fit", "backtest", "plotdata"},
+    "load_model": {"forecast"},
+    "save_model": {"fit"},
+    "grid_search": {"fit"},
+    "compare_models": {"backtest"},
+}
+
+
+def traced_cli_attributes() -> set[str]:
+    path = Path(__file__).parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return {attr for _, module, attr, _ in spans.BOUNDARIES if module == "epiforecast.cli"}
+
+
+def test_each_traced_cli_attribute_is_called_by_its_commands(
+    tmp_path, iran_path, capsys, monkeypatch
+):
+    assert traced_cli_attributes() == set(CALLERS)
+    commands = run_commands(tmp_path, iran_path, capsys)
+    (tmp_path / "grid.ini").write_text("[autoreg]\np = 2, 3\n")  # fit now grid-searches
+    calls = []
+    for attr in CALLERS:
+        def spy(*args, _attr=attr, _original=getattr(cli, attr), **kwargs):
+            calls.append(_attr)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, attr, spy)
+    callers = {attr: set() for attr in CALLERS}
+    for name in COMMANDS:
+        calls.clear()
+        assert main(commands[name][0]) == 0
+        for attr in calls:
+            callers[attr].add(name)
+    capsys.readouterr()
+    assert callers == CALLERS
