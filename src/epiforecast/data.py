@@ -2,7 +2,7 @@
 
 The on-disk format is a CSV with a header naming the columns Date, Confirmed,
 Deaths and Recovered (case-insensitive, any order), one row per calendar day,
-ISO-8601 dates, integer counts. Rows must be consecutive days; cumulative
+YYYY-MM-DD dates, integer counts. Rows must be consecutive days; cumulative
 columns must be non-decreasing unless corrections are explicitly allowed.
 csv_text writes the CSV outputs and read_forecast_csv reads forecast.csv back;
 write_output is the package's one writer of output files.
@@ -14,6 +14,7 @@ import csv
 import io
 import logging
 import math
+import re
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
@@ -29,6 +30,8 @@ FORECAST_HEADER = ("date", "target", "model", "point_forecast")
 
 SERIES_KINDS = ("cumulative", "incident")
 SCALE_STATES = ("raw", "normalized")
+
+_DECIMAL = re.compile(r"-?[0-9]+(\.[0-9]+)?")  # a superset of what f"{v:.6f}" writes
 
 
 @dataclass(frozen=True)
@@ -127,6 +130,15 @@ class EpidemicDataset:
         return bool(np.all(np.diff(col) >= 0))
 
 
+def _iso_date(raw: str) -> date:
+    """The date of a YYYY-MM-DD string. Any other form is a ValueError, also the
+    basic and week forms that date.fromisoformat reads since Python 3.11."""
+    day = date.fromisoformat(raw)
+    if day.isoformat() != raw:
+        raise ValueError(raw)
+    return day
+
+
 def _normalize_header(cells: list[str]) -> dict[str, int]:
     names = [c.strip().lower() for c in cells]
     wanted = ("date",) + TARGETS
@@ -165,7 +177,7 @@ def parse_csv(text: str | io.TextIOBase, *, allow_corrections: bool = False) -> 
             )
         raw_date = cells[pos["date"]].strip()
         try:
-            d = date.fromisoformat(raw_date)
+            d = _iso_date(raw_date)
         except ValueError:
             raise ParseError(f"unparseable date {raw_date!r}", line=lineno) from None
         row_counts = {}
@@ -229,8 +241,9 @@ def csv_text(header, rows) -> str:
 
 def read_forecast_csv(text: str, path, labels) -> list[tuple[str, str, str, float]]:
     """The (date, target, label, value) rows of the forecast CSV read from path.
-    Only rows the writer writes pass: an ISO date, a target in TARGETS, a label
-    in labels and a finite value >= 0; any other is a ParseError on its line."""
+    Only rows the writer writes pass: a YYYY-MM-DD date, a target in TARGETS, a
+    label in labels and a finite value >= 0 written as -?[0-9]+(.[0-9]+)?; any
+    other is a ParseError on its line."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None:
@@ -243,8 +256,7 @@ def read_forecast_csv(text: str, path, labels) -> list[tuple[str, str, str, floa
             raise ParseError(f"bad forecast row in {path}", line=lineno)
         day, target, label, raw = row
         try:
-            if date.fromisoformat(day).isoformat() != day:  # the writer's YYYY-MM-DD only
-                raise ValueError(day)
+            _iso_date(day)
         except ValueError:
             raise ParseError(f"date {day!r} is not an ISO date in {path}", line=lineno) from None
         if target not in TARGETS:
@@ -259,6 +271,8 @@ def read_forecast_csv(text: str, path, labels) -> list[tuple[str, str, str, floa
             raise ParseError(f"non-finite point_forecast {raw!r} in {path}", line=lineno)
         if value < 0.0:
             raise ParseError(f"negative point_forecast {raw!r} in {path}", line=lineno)
+        if not _DECIMAL.fullmatch(raw):
+            raise ParseError(f"non-numeric point_forecast {raw!r} in {path}", line=lineno)
         rows.append((day, target, label, value))
     return rows
 

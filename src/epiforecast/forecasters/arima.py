@@ -16,7 +16,6 @@ import numpy as np
 
 from ..data import Series
 from ..errors import ContractError, DivergenceError, ExhaustedGridError, SingularFitError
-from ..metrics import mse
 from ..transform import difference_values, integrate_forecast
 from .base import ArimaOrder, FittedModel, ForecasterSpec, check_shape, fitted, recursive_forecast
 from .autoreg import ar_sum, lag_matrix
@@ -136,12 +135,9 @@ def _css_jacobian(
     change no value (at most the sign of an exact zero).
     """
     p, q = order.p, order.q
-    m = z.size
-    T = m - p
+    T = z.size - p
     J = np.zeros((T, 1 + p + q), dtype=np.float64)
-    J[:, 0] = -1.0
-    for i in range(1, p + 1):
-        J[:, i] = -z[p - i : m - i]
+    J[:, : 1 + p] = -lag_matrix(z, p)[0]
     if q == 0:
         return J
     theta = beta[1 + p :].tolist()
@@ -192,20 +188,22 @@ def _hannan_rissanen_init(z: np.ndarray, order: ArimaOrder) -> np.ndarray:
     return beta2
 
 
+def _root_modulus(a: np.ndarray) -> float:
+    """Largest reciprocal root modulus of 1 + a_1 B + ... + a_k B^k (0.0 without
+    roots); a root lies inside the unit circle exactly when this exceeds 1.0."""
+    roots = np.roots(np.concatenate((a[::-1], [1.0])))
+    with np.errstate(divide="ignore"):  # a computed root of 0.0 (a = [0, -1, -1e-24]) gives inf
+        return float(1.0 / np.abs(roots).min()) if roots.size else 0.0
+
+
 def _root_warnings(order: ArimaOrder, beta: np.ndarray) -> tuple[str, ...]:
     """Flag AR roots inside the unit circle (and MA likewise); never fatal."""
-    p, q = order.p, order.q
+    p = order.p
     notes = []
-    if p:
-        coeffs = np.concatenate((-beta[1 : 1 + p][::-1], [1.0]))
-        roots = np.roots(coeffs)
-        if roots.size and np.min(np.abs(roots)) < 1.0:
-            notes.append("ar roots inside the unit circle: forecasts are non-stationary")
-    if q:
-        coeffs = np.concatenate((beta[1 + p :][::-1], [1.0]))
-        roots = np.roots(coeffs)
-        if roots.size and np.min(np.abs(roots)) < 1.0:
-            notes.append("ma roots inside the unit circle: representation is non-invertible")
+    if _root_modulus(-beta[1 : 1 + p]) > 1.0:
+        notes.append("ar roots inside the unit circle: forecasts are non-stationary")
+    if _root_modulus(beta[1 + p :]) > 1.0:
+        notes.append("ma roots inside the unit circle: representation is non-invertible")
     return tuple(notes)
 
 
@@ -244,8 +242,7 @@ def fit_arima(train: Series, order: ArimaOrder) -> FittedModel:
         J = _css_jacobian(z, order, beta, eps)
         g = J.T @ eps
         A = J.T @ J
-        accepted = False
-        rel = 0.0
+        rel = 0.0  # stays 0.0, below REL_TOL, when no step is accepted
         for _ in range(30):
             try:
                 delta = np.linalg.solve(A + lam * identity, -g)
@@ -259,10 +256,9 @@ def fit_arima(train: Series, order: ArimaOrder) -> FittedModel:
                 rel = (s - s_new) / max(s, np.finfo(float).tiny)
                 beta, eps, s = candidate, eps_new, s_new
                 lam = max(lam / 10.0, 1e-12)
-                accepted = True
                 break
             lam = min(lam * 10.0, 1e12)
-        if not accepted or rel < REL_TOL:
+        if rel < REL_TOL:
             break
     if not np.isfinite(s):
         raise DivergenceError("ARIMA optimization produced a non-finite objective")
@@ -271,7 +267,7 @@ def fit_arima(train: Series, order: ArimaOrder) -> FittedModel:
         c=float(beta[0]),
         phi=beta[1 : 1 + p].copy(),
         theta=beta[1 + p :].copy(),
-        resid_tail=eps[len(eps) - q :].copy() if q else np.empty(0),
+        resid_tail=eps[len(eps) - q :].copy(),
         warnings=_root_warnings(order, beta),
     )
     for note in params.warnings:
@@ -284,30 +280,32 @@ def forecast_arima(model: FittedModel, h: int) -> np.ndarray:
     params: ArimaParams = model.params
     p, d, q = order.p, order.d, order.q
     tail = model.train_tail
-    z_tail, _ = difference_values(tail, d) if d else (tail, None)
-    resid = params.resid_tail
+    z_tail, _ = difference_values(tail, d)
+    resid = params.resid_tail  # q entries: check_arima_params and fit_arima hold it
 
     def step(z: list, k: int) -> float:
         acc = ar_sum(params.c, params.phi, z)
-        for j in range(1, q + 1):
-            lag = k - j
-            if lag < 0 and resid.size + lag >= 0:
-                acc += params.theta[j - 1] * resid[lag]
+        for j in range(k + 1, q + 1):  # MA lags that still reach the training residuals
+            acc += params.theta[j - 1] * resid[k - j]
         return acc
 
     diffs = recursive_forecast(z_tail[-p:] if p else [], h, step)
     return integrate_forecast(diffs, tail, d)
 
 
+def _residuals(model: FittedModel, values: np.ndarray) -> np.ndarray:
+    """Conditional residuals of the model's frozen coefficients on a series of levels."""
+    order: ArimaOrder = model.spec.config
+    params: ArimaParams = model.params
+    z, _ = difference_values(values, order.d)
+    return css_residuals(z, order, np.concatenate(([params.c], params.phi, params.theta)))
+
+
 def insample_arima(model: FittedModel, train: Series) -> tuple[np.ndarray, np.ndarray]:
     """One-step fitted levels: the level error equals the differenced residual."""
     order: ArimaOrder = model.spec.config
-    params: ArimaParams = model.params
-    z, _ = difference_values(train.values, order.d)
-    beta = np.concatenate(([params.c], params.phi, params.theta))
-    eps = css_residuals(z, order, beta)
     actual = train.values[order.d + order.p :]
-    return actual, actual - eps
+    return actual, actual - _residuals(model, train.values)
 
 
 def arima_orders(p_max: int, q_max: int, ds: Sequence[int] = (0, 1)) -> list[ArimaOrder]:
@@ -333,17 +331,6 @@ AR_ROOT_LIMIT = 0.97
 NEAR_TIE_FACTOR = 0.15
 
 
-def _max_ar_root_modulus(phi: np.ndarray) -> float:
-    """Largest modulus among the reciprocal roots of the AR polynomial."""
-    if phi.size == 0:
-        return 0.0
-    coeffs = np.concatenate((-phi[::-1], [1.0]))
-    mods = np.abs(np.roots(coeffs))
-    if mods.size == 0 or mods.min() == 0.0:
-        return 0.0
-    return float(1.0 / mods.min())
-
-
 def _validation_onestep_mse(model: FittedModel, train: Series, validation: Series) -> float:
     """Mean squared one-step-ahead error over the validation tail.
 
@@ -352,12 +339,7 @@ def _validation_onestep_mse(model: FittedModel, train: Series, validation: Serie
     prediction equals actual minus the conditional residual for any d, the
     scores are comparable across differencing orders.
     """
-    order = model.spec.config
-    full = np.concatenate([train.values, validation.values])
-    z, _ = difference_values(full, order.d)
-    params = model.params
-    beta = np.concatenate(([params.c], params.phi, params.theta))
-    eps = css_residuals(z, order, beta)
+    eps = _residuals(model, np.concatenate([train.values, validation.values]))
     tail = eps[-len(validation) :]
     # near-unstable candidates overflow to inf; the caller ranks them last or
     # skips them, so silence the intermediate warning on that handled path
@@ -376,8 +358,8 @@ def grid_search_arima(
     nearly so (reciprocal root modulus above AR_ROOT_LIMIT) are skipped, as
     are candidates that fail to fit; skips are logged, never fatal. Among
     candidates scoring within NEAR_TIE_FACTOR of the best the simplest order
-    wins: smaller p + d + q, then smaller d, then smaller p. Returns the
-    chosen order, its fitted model, and its validation MSE.
+    wins, simplest as arima_orders ranks it. Returns the chosen order, its
+    fitted model, and its validation MSE.
     """
     if p_max < 0 or q_max < 0:
         raise ContractError("p_max and q_max must be >= 0")
@@ -386,7 +368,7 @@ def grid_search_arima(
     for order in arima_orders(p_max, q_max):
         try:
             model = fit_arima(train, order)
-            root = _max_ar_root_modulus(model.params.phi)
+            root = _root_modulus(-model.params.phi)
             if root > AR_ROOT_LIMIT:
                 raise DivergenceError(
                     f"ar reciprocal root modulus {root:.4f} exceeds {AR_ROOT_LIMIT}"
@@ -404,7 +386,6 @@ def grid_search_arima(
     best_score = min(score for score, _, _ in results)
     threshold = best_score * (1.0 + NEAR_TIE_FACTOR)
     tied = [entry for entry in results if entry[0] <= threshold]
-    score, order, model = min(
-        tied, key=lambda e: (e[1].p + e[1].d + e[1].q, e[1].d, e[1].p, e[0])
-    )
+    # results are in arima_orders' simplest-first order, where no two orders tie before q
+    score, order, model = tied[0]
     return order, model, score

@@ -16,9 +16,17 @@ from pathlib import Path
 import numpy as np
 
 from epiforecast.forecasters.additive import AdditiveParams
-from epiforecast.forecasters.arima import ArimaParams
-from epiforecast.forecasters.autoreg import ArParams
-from epiforecast.forecasters.base import LstmConfig
+from epiforecast.forecasters.arima import (
+    AR_ROOT_LIMIT,
+    NEAR_TIE_FACTOR,
+    ArimaParams,
+    _ma_filter,
+    arima_orders,
+    css_residuals,
+    fit_arima,
+)
+from epiforecast.forecasters.autoreg import ArParams, ar_sum
+from epiforecast.forecasters.base import LstmConfig, recursive_forecast
 from epiforecast.forecasters.lstm import (
     LstmGradients,
     LstmLayerParams,
@@ -28,6 +36,7 @@ from epiforecast.forecasters.lstm import (
     lstm_forward,
 )
 from epiforecast.forecasters.mlp import MlpParams, _forward, mlp_gradients
+from epiforecast.transform import difference_values, integrate_forecast
 
 FD_EPS = 1e-5
 
@@ -109,6 +118,124 @@ def oracle_css_jacobian(z, p, q, beta):
             base = [-(eps_l[t - j_lag]) if t - j_lag >= 0 else 0.0 for t in range(T)]
         J[:, col] = oracle_ma_recursion(base, theta)
     return eps, J
+
+
+# --- ARIMA facts before each was written once ----------------------------------
+# arima.py's two root tests, its second complexity key, its two residual paths,
+# its guarded MA forecast loop and its per-lag Jacobian base columns, as they
+# were; root notes, screens, choices, scores and forecasts must stay
+# bit-identical to them.
+
+
+def oracle_root_warnings(order, beta):
+    p, q = order.p, order.q
+    notes = []
+    if p:
+        coeffs = np.concatenate((-beta[1 : 1 + p][::-1], [1.0]))
+        roots = np.roots(coeffs)
+        if roots.size and np.min(np.abs(roots)) < 1.0:
+            notes.append("ar roots inside the unit circle: forecasts are non-stationary")
+    if q:
+        coeffs = np.concatenate((beta[1 + p :][::-1], [1.0]))
+        roots = np.roots(coeffs)
+        if roots.size and np.min(np.abs(roots)) < 1.0:
+            notes.append("ma roots inside the unit circle: representation is non-invertible")
+    return tuple(notes)
+
+
+def oracle_max_ar_root_modulus(phi):
+    """Largest modulus among the reciprocal roots of the AR polynomial."""
+    if phi.size == 0:
+        return 0.0
+    coeffs = np.concatenate((-phi[::-1], [1.0]))
+    mods = np.abs(np.roots(coeffs))
+    if mods.size == 0 or mods.min() == 0.0:
+        return 0.0
+    return float(1.0 / mods.min())
+
+
+def oracle_insample_arima(model, train):
+    order, params = model.spec.config, model.params
+    z, _ = difference_values(train.values, order.d)
+    beta = np.concatenate(([params.c], params.phi, params.theta))
+    eps = css_residuals(z, order, beta)
+    actual = train.values[order.d + order.p :]
+    return actual, actual - eps
+
+
+def oracle_validation_onestep_mse(model, train, validation):
+    order = model.spec.config
+    full = np.concatenate([train.values, validation.values])
+    z, _ = difference_values(full, order.d)
+    params = model.params
+    beta = np.concatenate(([params.c], params.phi, params.theta))
+    eps = css_residuals(z, order, beta)
+    tail = eps[-len(validation) :]
+    with np.errstate(over="ignore"):
+        return float(np.mean(tail * tail))
+
+
+def oracle_grid_search_arima(train, validation, p_max, q_max):
+    """The old search without its logging: screen, score, then the simplest
+    near-tie by its own (p + d + q, d, p, score) key."""
+    results = []
+    for order in arima_orders(p_max, q_max):
+        try:
+            model = fit_arima(train, order)
+            if oracle_max_ar_root_modulus(model.params.phi) > AR_ROOT_LIMIT:
+                continue
+            score = oracle_validation_onestep_mse(model, train, validation)
+        except Exception:  # noqa: BLE001 - a skipped candidate, as in the package
+            continue
+        results.append((score, order, model))
+    best_score = min(score for score, _, _ in results)
+    threshold = best_score * (1.0 + NEAR_TIE_FACTOR)
+    tied = [entry for entry in results if entry[0] <= threshold]
+    score, order, model = min(
+        tied, key=lambda e: (e[1].p + e[1].d + e[1].q, e[1].d, e[1].p, e[0])
+    )
+    return order, model, score
+
+
+def oracle_forecast_arima_guarded(model, h):
+    """forecast_arima with d = 0 skipping difference_values and each MA lag
+    guarded on its own."""
+    order, params = model.spec.config, model.params
+    p, d, q = order.p, order.d, order.q
+    tail = model.train_tail
+    z_tail, _ = difference_values(tail, d) if d else (tail, None)
+    resid = params.resid_tail
+
+    def step(z, k):
+        acc = ar_sum(params.c, params.phi, z)
+        for j in range(1, q + 1):
+            lag = k - j
+            if lag < 0 and resid.size + lag >= 0:
+                acc += params.theta[j - 1] * resid[lag]
+        return acc
+
+    diffs = recursive_forecast(z_tail[-p:] if p else [], h, step)
+    return integrate_forecast(diffs, tail, d)
+
+
+def oracle_css_jacobian_lag_loop(z, order, beta, eps):
+    """_css_jacobian with its intercept and AR base columns set one by one."""
+    p, q = order.p, order.q
+    m = z.size
+    T = m - p
+    J = np.zeros((T, 1 + p + q), dtype=np.float64)
+    J[:, 0] = -1.0
+    for i in range(1, p + 1):
+        J[:, i] = -z[p - i : m - i]
+    if q == 0:
+        return J
+    theta = beta[1 + p :].tolist()
+    for col in range(1 + p):
+        J[:, col] = _ma_filter(J[:, col].tolist(), theta)
+    ma = np.array(_ma_filter([0.0] + (-eps[:-1]).tolist(), theta), dtype=np.float64)
+    for lag in range(min(q, T)):
+        J[lag:, 1 + p + lag] = ma[: T - lag]
+    return J
 
 
 # --- LSTM gradient probe ----------------------------------------------------

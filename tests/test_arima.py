@@ -3,13 +3,19 @@ validation-scored order search."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from epiforecast.data import train_test_split
 from epiforecast.errors import ContractError, ExhaustedGridError
 from epiforecast.forecasters import ForecasterSpec, arima, fit, forecast, insample_predictions
 from epiforecast.forecasters.arima import (
+    AR_ROOT_LIMIT,
     _css_jacobian,
     _ma_filter,
+    _root_modulus,
+    _root_warnings,
+    _validation_onestep_mse,
     arima_css_objective,
     arima_orders,
     css_residuals,
@@ -21,8 +27,15 @@ from epiforecast.forecasters.base import ArimaOrder
 from epiforecast.transform import difference_values, fit_scaler, scale
 from oracles import (
     oracle_css_jacobian,
+    oracle_css_jacobian_lag_loop,
     oracle_css_residuals,
+    oracle_forecast_arima_guarded,
+    oracle_grid_search_arima,
+    oracle_insample_arima,
     oracle_ma_recursion,
+    oracle_max_ar_root_modulus,
+    oracle_root_warnings,
+    oracle_validation_onestep_mse,
     simulate_arma,
 )
 from support import series
@@ -291,3 +304,118 @@ def test_grid_search_contract_and_exhaustion():
     with pytest.raises(ExhaustedGridError):
         # every order needs at least p + d + q + 2 >= 3 training points
         grid_search_arima(train, val, 3, 3)
+
+
+# --- each ARIMA fact written once, bit-identical to the code it replaced -----
+
+
+def _outcome(f, *args):
+    """f's result as bytes, or the type of what it raised."""
+    try:
+        with np.errstate(over="ignore"):  # np.roots of a tiny leading coefficient
+            value = f(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc)
+    return value if isinstance(value, tuple) else np.float64(value).tobytes()
+
+
+COEFFS = st.lists(st.floats(-4.0, 4.0), max_size=6)
+
+
+@given(phi=COEFFS, theta=COEFFS)
+@example(phi=[], theta=[])
+@example(phi=[0.0, 0.0, 0.0], theta=[0.0, 0.0])
+@example(phi=[0.5, 0.0], theta=[-0.4, 0.0])  # a zero phi_p (and theta_q) drops a degree
+@example(phi=[1.0], theta=[-1.0])  # exact unit roots
+@example(phi=[0.0, 1.0], theta=[0.0, 1.0])
+@example(phi=[1.5, -0.5], theta=[2.0])  # a unit root and an explosive MA
+@example(phi=[0.0, 1.0, 1e-24], theta=[0.0, 1.0, 1e-24])  # a computed root of exactly 0.0
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_one_root_test_is_bit_identical_to_the_two_it_replaced(phi, theta):
+    phi, theta = np.array(phi, dtype=np.float64), np.array(theta, dtype=np.float64)
+    order = ArimaOrder(phi.size, 1, theta.size)
+    beta = np.concatenate(([0.1], phi, theta))
+    notes = _outcome(oracle_root_warnings, order, beta)
+    assert _outcome(_root_warnings, order, beta) == notes
+    got = _outcome(_root_modulus, -phi)
+    want = _outcome(oracle_max_ar_root_modulus, phi)
+    if got != want:
+        # the one difference: np.roots returned an exact 0.0 root, which the old
+        # screen read as modulus 0.0 while the root note flagged it; now both refuse it
+        assert (got, want) == (np.float64(np.inf).tobytes(), np.float64(0.0).tobytes())
+        assert notes[0] == "ar roots inside the unit circle: forecasts are non-stationary"
+
+
+def test_root_notes_flag_roots_on_and_inside_the_unit_circle():
+    order = ArimaOrder(1, 0, 1)
+    assert _root_warnings(order, np.array([0.0, 0.5, 0.5])) == ()
+    assert _root_warnings(order, np.array([0.0, 1.0, -1.0])) == ()
+    assert _root_warnings(order, np.array([0.0, 1.0 + 2**-52, -1.0 - 2**-52])) == (
+        "ar roots inside the unit circle: forecasts are non-stationary",
+        "ma roots inside the unit circle: representation is non-invertible",
+    )
+    assert _root_modulus(np.array([])) == _root_modulus(np.zeros(3)) == 0.0
+    assert _root_modulus(np.array([-0.5, 0.0])) == 0.5
+    # np.roots finds an exact 0.0 root here: the screen refuses it, as the note does
+    assert _root_modulus(-np.array([0.0, 1.0, 1e-24])) == np.inf > AR_ROOT_LIMIT
+
+
+def _arma_split(phi, theta, d, seed, n=140):
+    z = simulate_arma(phi=phi, theta=theta, n=n, sigma=0.1, seed=seed, c=0.02)
+    return train_test_split(series(np.cumsum(z) if d else z), 0.2)
+
+
+# white noise near-ties every order; the drifting walks' d = 0 fits are screened
+SEARCH_SERIES = [
+    ((), (), 0, 42),
+    ((0.6,), (), 0, 1),
+    ((0.5, -0.3), (0.4,), 0, 2),
+    ((), (0.6, 0.2), 0, 3),
+    ((0.7,), (), 1, 4),
+    ((0.4,), (0.5,), 1, 5),
+    ((0.9,), (), 1, 1003),
+]
+
+
+@pytest.mark.parametrize("phi, theta, d, seed", SEARCH_SERIES)
+def test_grid_search_is_bit_identical_to_the_old_selection(phi, theta, d, seed):
+    train, val = _arma_split(phi, theta, d, seed)
+    order, model, score = grid_search_arima(train, val, 2, 2)
+    want_order, want_model, want_score = oracle_grid_search_arima(train, val, 2, 2)
+    assert order == want_order
+    assert np.float64(score).tobytes() == np.float64(want_score).tobytes()
+    got, want = model.params, want_model.params
+    assert np.float64(got.c).tobytes() == np.float64(want.c).tobytes()
+    for name in ("phi", "theta", "resid_tail"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert got.warnings == want.warnings
+    assert model.train_tail.tobytes() == want_model.train_tail.tobytes()
+
+
+PDQS = [(0, 0, 1), (0, 0, 3), (1, 0, 0), (2, 0, 2), (0, 1, 0), (1, 1, 2), (0, 2, 1), (3, 1, 1)]
+
+
+@pytest.mark.parametrize("pdq", PDQS, ids=lambda pdq: "%d%d%d" % pdq)
+def test_one_residual_path_and_forecast_step_are_bit_identical(pdq):
+    train, val = _arma_split((0.5,), (0.3,), pdq[1] > 0, 7)
+    model = fit_arima(train, ArimaOrder(*pdq))
+    for h in (1, 2, 3, 7, 180):
+        assert forecast(model, h).tobytes() == oracle_forecast_arima_guarded(model, h).tobytes()
+    actual, predicted = insample_predictions(model, train)
+    want_actual, want_predicted = oracle_insample_arima(model, train)
+    assert actual.tobytes() == want_actual.tobytes()
+    assert predicted.tobytes() == want_predicted.tobytes()
+    score = _validation_onestep_mse(model, train, val)
+    want = oracle_validation_onestep_mse(model, train, val)
+    assert np.float64(score).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("p,q", KERNEL_ORDERS + [(1, 0), (4, 0), (6, 2)])
+def test_css_jacobian_base_columns_are_bit_identical_to_the_lag_loop(p, q):
+    rng = np.random.default_rng(300 + 10 * p + q)
+    z = rng.normal(0.0, 1.0, 50).cumsum()
+    beta = np.concatenate([[0.1], rng.uniform(-0.3, 0.3, p), rng.uniform(-0.5, 0.5, q)])
+    order = ArimaOrder(p, 0, q)
+    eps = css_residuals(z, order, beta)
+    got = _css_jacobian(z, order, beta, eps)
+    assert got.tobytes() == oracle_css_jacobian_lag_loop(z, order, beta, eps).tobytes()

@@ -944,3 +944,49 @@ def test_unknown_config_run_key_is_usage_error(tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert (out / "model_deaths_autoreg.json").exists()
+
+
+@pytest.mark.parametrize("row, day", [(1, "20200226"), (2, "2020-W09-4")])
+def test_csv_dates_must_be_yyyy_mm_dd_on_every_python(tmp_path, capsys, row, day):
+    # Python 3.11's date.fromisoformat reads these as the row's own date
+    # (2020-02-26 and 2020-02-27), while 3.10's refuses them
+    data = make_csv(tmp_path / "data.csv")
+    lines = data.read_text().splitlines()
+    assert lines[row].startswith(f"2020-02-2{6 + row - 1},")
+    lines[row] = day + lines[row][len("2020-02-26") :]
+    data.write_text("\n".join(lines) + "\n")
+    assert main(["validate", "--input", str(data)]) == 2
+    assert capsys.readouterr().err == f"error: line {row + 1}: unparseable date {day!r}\n"
+
+
+@pytest.mark.parametrize("value", ["1_000", " 7", "1e3", "+7", "７", "１２.５", "1.", ".5", "7 "])
+def test_plotdata_point_forecasts_must_be_plain_decimals(tmp_path, capsys, value):
+    data = make_csv(tmp_path / "data.csv")
+    fc = tmp_path / "fc.csv"
+    fc.write_text(
+        "date,target,model,point_forecast\n"
+        "2020-04-01,deaths,arima,1.0\n"
+        f"2020-04-02,deaths,arima,{value}\n"
+    )
+    code = main(["plotdata", "--input", str(data), "--forecast", str(fc), "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: line 3: non-numeric point_forecast {value!r} in {fc}\n"
+    assert not (tmp_path / "plot_deaths.csv").exists()
+
+
+def test_plotdata_accepts_the_decimals_the_writer_writes(tmp_path, capsys):
+    data = make_csv(tmp_path / "data.csv")
+    fc = tmp_path / "fc.csv"
+    fc.write_text(
+        "date,target,model,point_forecast\n"
+        "2020-03-27,deaths,arima,1.0\n"
+        "2020-03-28,deaths,arima,12.500000\n"
+        "2020-03-29,deaths,arima,-0.000000\n"
+        "2020-03-30,deaths,arima,7\n"
+    )
+    assert main(["plotdata", "--input", str(data), "--forecast", str(fc), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "plot_deaths.csv").read_text().endswith(
+        "2020-03-27,arima,1.000000\n2020-03-28,arima,12.500000\n"
+        "2020-03-29,arima,-0.000000\n2020-03-30,arima,7.000000\n"
+    )
