@@ -76,12 +76,19 @@ class Series:
         return self.start_date + timedelta(days=i)
 
 
+def _first_decrease(values) -> int | None:
+    """The first index whose value is below the one before it, None if there
+    is none. Compares neighbours, so no difference can overflow."""
+    v = np.asarray(values)
+    drops = np.flatnonzero(v[1:] < v[:-1])
+    return int(drops[0]) + 1 if drops.size else None
+
+
 def validate_series(s: Series) -> None:
     """Assert the full Series invariant set, including cumulative monotonicity."""
     if s.kind == "cumulative" and s.scale_state == "raw":
-        diffs = np.diff(s.values)
-        if diffs.size and float(diffs.min()) < 0:
-            i = int(np.argmax(diffs < 0)) + 1
+        i = _first_decrease(s.values)
+        if i is not None:
             raise ValidationError(
                 f"cumulative series decreases at {s.date_at(i).isoformat()}"
             )
@@ -126,8 +133,7 @@ class EpidemicDataset:
         return self.dates[-1]
 
     def column_monotone(self, target: str) -> bool:
-        col = getattr(self, target)
-        return bool(np.all(np.diff(col) >= 0))
+        return _first_decrease(getattr(self, target)) is None
 
 
 def _iso_date(raw: str) -> date:
@@ -135,7 +141,7 @@ def _iso_date(raw: str) -> date:
     basic and week forms that date.fromisoformat reads since Python 3.11."""
     day = date.fromisoformat(raw)
     if day.isoformat() != raw:
-        raise ValueError(raw)
+        raise ValueError(f"{raw!r} is not a YYYY-MM-DD date")
     return day
 
 
@@ -150,16 +156,14 @@ def _normalize_header(cells: list[str]) -> dict[str, int]:
     return positions
 
 
-def parse_csv(text: str | io.TextIOBase, *, allow_corrections: bool = False) -> EpidemicDataset:
-    """Parse a CSV character stream into a validated EpidemicDataset.
+def parse_csv(text: str, *, allow_corrections: bool = False) -> EpidemicDataset:
+    """Parse CSV text into a validated EpidemicDataset.
 
     Accepts LF or CRLF endings and any column order. Raises ParseError with a
     line number for malformed rows, StructuralError for date gaps, duplicates
     or an empty body, and ValidationError when a cumulative column decreases,
     unless allow_corrections suppresses the monotonicity check.
     """
-    if isinstance(text, io.TextIOBase):
-        text = text.read()
     reader = csv.reader(io.StringIO(text))
     rows = list(reader)
     if not rows:
@@ -213,12 +217,9 @@ def parse_csv(text: str | io.TextIOBase, *, allow_corrections: bool = False) -> 
                 raise ValidationError(
                     f"negative count {value} in column {name} on {dates[i].isoformat()}"
                 )
-        if not allow_corrections:
-            for i in range(1, len(col)):
-                if col[i] < col[i - 1]:
-                    raise ValidationError(
-                        f"cumulative column {name} decreases on {dates[i].isoformat()}"
-                    )
+        i = _first_decrease(col)
+        if i is not None and not allow_corrections:
+            raise ValidationError(f"cumulative column {name} decreases on {dates[i].isoformat()}")
 
     return EpidemicDataset(
         dates=tuple(dates),
@@ -303,14 +304,14 @@ def cumulative_to_incident(s: Series, *, clamp_corrections: bool = False) -> Ser
     inc = np.empty_like(s.values)
     inc[0] = s.values[0]
     inc[1:] = np.diff(s.values)
-    negative = inc[1:] < 0
-    if negative.any():
+    i = _first_decrease(s.values)
+    if i is not None:
         if not clamp_corrections:
-            i = int(np.argmax(negative)) + 1
             raise ValidationError(
                 f"negative increment at {s.date_at(i).isoformat()}; "
                 "pass clamp_corrections to floor corrections at 0"
             )
+        negative = inc[1:] < 0
         n_clamped = int(negative.sum())
         logger.warning("clamped %d negative increments to 0", n_clamped)
         inc[1:][negative] = 0.0

@@ -176,12 +176,8 @@ def _hannan_rissanen_init(z: np.ndarray, order: ArimaOrder) -> np.ndarray:
     rows = m - start
     if rows < 1 + p + q + 1:
         return fallback
-    D = np.empty((rows, 1 + p + q), dtype=np.float64)
-    D[:, 0] = 1.0
-    for i in range(1, p + 1):
-        D[:, i] = z[start - i : m - i]
-    for j in range(1, q + 1):
-        D[:, p + j] = resid[start - j : m - j]
+    # [1, z_{t-1..t-p}, resid_{t-1..t-q}] for t = start..m-1
+    D = np.hstack((lag_matrix(z, p)[0][start - p :], lag_matrix(resid, q)[0][start - q :, 1:]))
     beta2, _, rank2, _ = np.linalg.lstsq(D, z[start:], rcond=None)
     if rank2 < 1 + p + q:
         return fallback
@@ -260,8 +256,6 @@ def fit_arima(train: Series, order: ArimaOrder) -> FittedModel:
             lam = min(lam * 10.0, 1e12)
         if rel < REL_TOL:
             break
-    if not np.isfinite(s):
-        raise DivergenceError("ARIMA optimization produced a non-finite objective")
 
     params = ArimaParams(
         c=float(beta[0]),

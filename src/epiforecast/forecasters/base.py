@@ -3,7 +3,8 @@ model, and the gradient-descent and recursive-forecast loops."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from datetime import date
 from typing import Any, Callable
 
@@ -132,6 +133,10 @@ class ForecasterSpec:
             raise ContractError(
                 f"{self.kind} expects a {expected.__name__}, got {type(self.config).__name__}"
             )
+        for f in fields(self.config):  # a NaN passes every config's range checks
+            value = getattr(self.config, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ContractError(f"{f.name} must be finite, got {value}")
         if not (0 <= self.seed < MAX_SEED):
             raise ContractError("seed must be a 64-bit unsigned integer")
 

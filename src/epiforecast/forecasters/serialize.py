@@ -11,14 +11,13 @@ import json
 import math
 import types
 from dataclasses import asdict, fields, is_dataclass
-from datetime import date
 from functools import cache
 from pathlib import Path
 from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from ..data import TARGETS, write_output
+from ..data import TARGETS, _iso_date, write_output
 from ..errors import ModelFileError
 from ..transform import MinMaxScaler
 from .base import CONFIG_TYPES, FittedModel, ForecasterSpec, check_shape
@@ -131,9 +130,7 @@ def model_from_dict(doc: dict) -> FittedModel:
             train_tail=train_tail,
             target=doc["target"],
             train_end_date=(
-                None
-                if doc["train_end_date"] is None
-                else date.fromisoformat(doc["train_end_date"])
+                None if doc["train_end_date"] is None else _iso_date(doc["train_end_date"])
             ),
         )
     # ValueError includes a config or spec check's ContractError; int(inf) overflows

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from epiforecast.errors import SingularFitError
 from epiforecast.forecasters.additive import AdditiveParams
 from epiforecast.forecasters.arima import (
     AR_ROOT_LIMIT,
@@ -25,7 +26,7 @@ from epiforecast.forecasters.arima import (
     css_residuals,
     fit_arima,
 )
-from epiforecast.forecasters.autoreg import ArParams, ar_sum
+from epiforecast.forecasters.autoreg import ArParams, ar_sum, lag_matrix
 from epiforecast.forecasters.base import LstmConfig, recursive_forecast
 from epiforecast.forecasters.lstm import (
     LstmGradients,
@@ -236,6 +237,80 @@ def oracle_css_jacobian_lag_loop(z, order, beta, eps):
     for lag in range(min(q, T)):
         J[lag:, 1 + p + lag] = ma[: T - lag]
     return J
+
+
+# --- Hannan-Rissanen start and decrease checks, as they were -----------------
+# _hannan_rissanen_init with its own second-stage column loop, and the four
+# decrease checks of data.py before they became _first_decrease.
+
+
+def oracle_hannan_rissanen_init(z, order):
+    """Two-stage starting values with the second-stage design filled column by column."""
+    p, q = order.p, order.q
+    m = z.size
+    if q == 0:
+        if p == 0:
+            return np.array([float(np.mean(z))])
+        X, y = lag_matrix(z, p)
+        beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+        if rank < p + 1:
+            raise SingularFitError(f"ARIMA AR stage is rank deficient (p = {p})")
+        return beta
+    fallback = np.concatenate(([float(np.mean(z))], np.zeros(p + q)))
+    long_order = max(p + q, int(round(12.0 * (m / 100.0) ** 0.25)))
+    long_order = min(long_order, (m - q - p - 2) // 2)
+    if long_order < 1:
+        return fallback
+    X, y = lag_matrix(z, long_order)
+    beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+    if rank < long_order + 1:
+        return fallback
+    resid = np.zeros(m, dtype=np.float64)
+    resid[long_order:] = y - X @ beta
+    start = long_order + q
+    rows = m - start
+    if rows < 1 + p + q + 1:
+        return fallback
+    D = np.empty((rows, 1 + p + q), dtype=np.float64)
+    D[:, 0] = 1.0
+    for i in range(1, p + 1):
+        D[:, i] = z[start - i : m - i]
+    for j in range(1, q + 1):
+        D[:, p + j] = resid[start - j : m - j]
+    beta2, _, rank2, _ = np.linalg.lstsq(D, z[start:], rcond=None)
+    if rank2 < 1 + p + q:
+        return fallback
+    return beta2
+
+
+def oracle_first_decrease_pairwise(values):
+    """parse_csv's loop over a column's neighbours."""
+    for i in range(1, len(values)):
+        if values[i] < values[i - 1]:
+            return i
+    return None
+
+
+def oracle_first_decrease_argmax(values):
+    """validate_series' check on the differences of a series."""
+    diffs = np.diff(values)
+    if diffs.size and float(diffs.min()) < 0:
+        return int(np.argmax(diffs < 0)) + 1
+    return None
+
+
+def oracle_column_monotone(col):
+    """EpidemicDataset.column_monotone."""
+    return bool(np.all(np.diff(col) >= 0))
+
+
+def oracle_first_negative_increment(values):
+    """cumulative_to_incident's lookup of its first negative increment."""
+    inc = np.empty_like(values)
+    inc[0] = values[0]
+    inc[1:] = np.diff(values)
+    negative = inc[1:] < 0
+    return int(np.argmax(negative)) + 1 if negative.any() else None
 
 
 # --- LSTM gradient probe ----------------------------------------------------

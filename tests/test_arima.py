@@ -6,12 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from epiforecast.data import train_test_split
-from epiforecast.errors import ContractError, ExhaustedGridError
+from epiforecast.backtest import ARIMA_DEFAULT_D, ARIMA_DEFAULT_P_MAX, ARIMA_DEFAULT_Q_MAX
+from epiforecast.data import TARGETS, extract_series, train_test_split
+from epiforecast.errors import ContractError, ExhaustedGridError, SingularFitError
 from epiforecast.forecasters import ForecasterSpec, arima, fit, forecast, insample_predictions
 from epiforecast.forecasters.arima import (
     AR_ROOT_LIMIT,
     _css_jacobian,
+    _hannan_rissanen_init,
     _ma_filter,
     _root_modulus,
     _root_warnings,
@@ -31,6 +33,7 @@ from oracles import (
     oracle_css_residuals,
     oracle_forecast_arima_guarded,
     oracle_grid_search_arima,
+    oracle_hannan_rissanen_init,
     oracle_insample_arima,
     oracle_ma_recursion,
     oracle_max_ar_root_modulus,
@@ -419,3 +422,48 @@ def test_css_jacobian_base_columns_are_bit_identical_to_the_lag_loop(p, q):
     eps = css_residuals(z, order, beta)
     got = _css_jacobian(z, order, beta, eps)
     assert got.tobytes() == oracle_css_jacobian_lag_loop(z, order, beta, eps).tobytes()
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_hannan_rissanen_start_is_bit_identical_to_the_column_loop(iran, target):
+    """Every default order on the backtest's ARIMA fit split (the scaled
+    validation fit part) of each bundled target."""
+    train, _ = train_test_split(extract_series(iran, target), 0.2)
+    fit_part, _ = train_test_split(train, 0.2)
+    fit_part = scale(fit_scaler(fit_part), fit_part)
+    orders = arima_orders(ARIMA_DEFAULT_P_MAX, ARIMA_DEFAULT_Q_MAX, ARIMA_DEFAULT_D)
+    for order in orders:
+        z, _ = difference_values(fit_part.values, order.d)
+        got = _hannan_rissanen_init(z, order)
+        want = oracle_hannan_rissanen_init(z, order)
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes(), order
+
+
+def _fallback(z, p, q):
+    return np.concatenate(([np.mean(z)], np.zeros(p + q)))
+
+
+@pytest.mark.parametrize(
+    "z, pdq",
+    [
+        # too short for a long AR of order 1: (4 - 1 - 0 - 2) // 2 = 0
+        (np.array([0.1, 0.4, 0.2, 0.3]), (0, 0, 1)),
+        # a constant series makes the long AR's design rank deficient
+        (np.full(50, 0.5), (0, 0, 1)),
+        # a long AR of order 1 leaves 6 - 1 - 2 = 3 rows for 4 columns + 1
+        (np.array([0.1, 0.4, 0.2, 0.3, 0.7, 0.5]), (0, 0, 2)),
+    ],
+    ids=["no-long-ar", "long-ar-rank-deficient", "too-few-second-stage-rows"],
+)
+def test_hannan_rissanen_falls_back_to_the_mean_and_zeros(z, pdq):
+    order = ArimaOrder(*pdq)
+    want = _fallback(z, order.p, order.q)
+    assert _hannan_rissanen_init(z, order).tobytes() == want.tobytes()
+    assert oracle_hannan_rissanen_init(z, order).tobytes() == want.tobytes()
+
+
+def test_hannan_rissanen_ar_stage_refuses_a_constant_series():
+    with pytest.raises(SingularFitError, match=r"AR stage is rank deficient \(p = 2\)"):
+        _hannan_rissanen_init(np.full(30, 0.5), ArimaOrder(2, 0, 0))
+    with pytest.raises(SingularFitError, match="rank deficient"):
+        fit_arima(series(np.full(30, 0.5)), ArimaOrder(1, 0, 0))

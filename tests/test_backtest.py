@@ -321,3 +321,20 @@ def test_grid_search_holdout_score_is_the_fit_part_validation_mse(spec):
     scaler = fit_scaler(fit_part)
     model = fit(spec, scale(scaler, fit_part))
     assert score == mse(scaler.transform(val.values), forecast(model, len(val)))
+
+
+def test_score_notes_the_metrics_it_cannot_define():
+    spec = ForecasterSpec("autoreg", ArOrder(2), 0)
+    values = wiggly_series(100).values.copy()
+    values[90] = values[:80].min()  # the scaler's min: 0.0 on the normalized scale
+    report = compare_models([("AR", [spec])], series(values))
+    (row,) = report.rows
+    assert row.mape_test is None and row.mase_test is not None
+    assert row.notes == ["mape_test undefined: mape undefined: actual contains a zero"]
+    # a constant train has no scaler, so only a direct call scores one
+    train, test = train_test_split(wiggly_series(100), 0.2)
+    model = bt.fit_normalized(spec, train)
+    row = bt.ReportRow(name="AR")
+    bt._score(row, spec, model, series(np.full(80, 1.0)), test)
+    assert row.mase_test is None and row.mape_test is not None
+    assert row.notes == ["mase_test undefined: mase undefined: training series is constant"]

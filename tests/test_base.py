@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from epiforecast.errors import DivergenceError
+from epiforecast.errors import ContractError, DivergenceError
 from epiforecast.forecasters import (
     FAMILIES,
     fit,
@@ -118,3 +118,25 @@ def test_descend_records_every_loss_and_names_the_diverging_epoch():
         descend("toy", Scalar(1e300), 3, loss, blow_up)
     with pytest.raises(DivergenceError, match="^toy training diverged at epoch 1$"):
         descend("toy", Scalar(1e300), 1, loss, blow_up)
+
+
+def test_spec_refuses_an_unknown_kind_and_another_kind_s_config():
+    with pytest.raises(ContractError, match="unknown forecaster kind 'prophet'"):
+        ForecasterSpec("prophet", ArOrder(1))
+    with pytest.raises(ContractError, match="arima expects a ArimaOrder, got ArOrder"):
+        ForecasterSpec("arima", ArOrder(1))
+
+
+@pytest.mark.parametrize(
+    "kind, config, field",
+    [
+        ("additive", AdditiveConfig(period=float("nan")), "period"),
+        ("additive", AdditiveConfig(changepoint_penalty=float("inf")), "changepoint_penalty"),
+        ("additive", AdditiveConfig(changepoint_penalty=float("nan")), "changepoint_penalty"),
+        ("lstm", LstmConfig(4, 7, 0, float("inf")), "learning_rate"),
+        ("mlp", MlpConfig(3, 2, 5, float("nan")), "learning_rate"),
+    ],
+)
+def test_spec_refuses_non_finite_config_floats(kind, config, field):
+    with pytest.raises(ContractError, match=f"^{field} must be finite, got (nan|inf)$"):
+        ForecasterSpec(kind, config)

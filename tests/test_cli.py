@@ -990,3 +990,59 @@ def test_plotdata_accepts_the_decimals_the_writer_writes(tmp_path, capsys):
         "2020-03-27,arima,1.000000\n2020-03-28,arima,12.500000\n"
         "2020-03-29,arima,-0.000000\n2020-03-30,arima,7.000000\n"
     )
+
+
+@pytest.mark.parametrize("raw, seasonal", [("yes", True), ("off", False), ("maybe", None)])
+def test_grid_booleans(tmp_path, capsys, raw, seasonal):
+    data = make_csv(tmp_path / "data.csv")
+    config = "window = 3\nhidden_units = 2\nepochs = 5\nlearning_rate = 0.1"
+    grid = write_grid(tmp_path / "grid.ini", f"[mlp]\n{config}\nseasonal = {raw}\n")
+    out = tmp_path / "out"
+    args = ["fit", "--input", str(data), "--model", "mlp", "--grid", str(grid), "--out", str(out)]
+    code = main(args)
+    err = capsys.readouterr().err
+    if seasonal is None:
+        assert code == 1 and err == "error: not a boolean: 'maybe'\n"
+        assert not out.exists()
+    else:
+        assert code == 0
+        doc = json.loads((out / "model_confirmed_mlp.json").read_text())
+        assert doc["config"]["seasonal"] is seasonal
+
+
+@pytest.mark.parametrize(
+    "kind, section, message",
+    [
+        ("additive", "period = nan", "period must be finite, got nan"),
+        ("additive", "changepoint_penalty = inf", "changepoint_penalty must be finite, got inf"),
+        ("additive", "changepoint_penalty = nan", "changepoint_penalty must be finite, got nan"),
+        ("lstm", "num_units = 4\nwindow = 7\nepochs = 0\nlearning_rate = inf",
+         "learning_rate must be finite, got inf"),
+    ],
+    ids=["nan-period", "infinite-penalty", "nan-penalty", "infinite-learning-rate"],
+)
+def test_non_finite_grid_numbers_are_usage_errors(
+    iran_path, tmp_path, capsys, kind, section, message
+):
+    # before the check, the first two crashed in the fit with a LinAlgError and
+    # the last two wrote a model file with NaN or Infinity that forecast refused
+    grid = write_grid(tmp_path / "grid.ini", f"[{kind}]\n{section}\n")
+    out = tmp_path / "out"
+    args = ["fit", "--input", str(iran_path), "--model", kind, "--grid", str(grid)]
+    assert main(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: grid section [{kind}]: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("day", ["20210312", "2021-W10-5"])
+def test_model_file_train_end_date_must_be_yyyy_mm_dd_on_every_python(tmp_path, capsys, day):
+    # Python 3.11's date.fromisoformat reads both, while 3.10's refuses them
+    _, model_path = fitted_model_file(tmp_path, capsys)
+    doc = json.loads(model_path.read_text())
+    doc["train_end_date"] = day
+    model_path.write_text(json.dumps(doc))
+    out = tmp_path / "fc"
+    assert main(["forecast", "--model-file", str(model_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed model file: ") and "Traceback" not in err
+    assert not (out / "forecast.csv").exists()

@@ -4,10 +4,13 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from epiforecast.data import (
     EpidemicDataset,
     Series,
+    _first_decrease,
     cumulative_to_incident,
     extract_series,
     incident_to_cumulative,
@@ -20,6 +23,12 @@ from epiforecast.errors import (
     ParseError,
     StructuralError,
     ValidationError,
+)
+from oracles import (
+    oracle_column_monotone,
+    oracle_first_decrease_argmax,
+    oracle_first_decrease_pairwise,
+    oracle_first_negative_increment,
 )
 from support import START, series
 
@@ -266,3 +275,28 @@ def test_bundled_dataset_shape_and_anchors(iran):
     assert int(iran.recovered[-1]) == 1_470_167
     for target in ("confirmed", "deaths", "recovered"):
         assert iran.column_monotone(target)
+
+
+DECREASE_CASES = st.one_of(
+    st.lists(st.integers(0, 3), max_size=8),  # mostly equal neighbours
+    st.lists(st.integers(-(2**61), 2**61), max_size=8),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(values=DECREASE_CASES)
+@example(values=[])
+@example(values=[7])
+@example(values=[2, 2, 2])
+@example(values=[0.0, -0.0])
+@example(values=[1.7e308, -1.7e308])  # the old checks' difference overflows to -inf
+def test_first_decrease_is_the_four_checks_it_replaced(values):
+    want = oracle_first_decrease_pairwise(values)
+    arr = np.asarray(values)
+    assert _first_decrease(values) == _first_decrease(arr) == want
+    with np.errstate(over="ignore"):
+        assert oracle_first_decrease_argmax(arr) == want
+        assert oracle_column_monotone(arr) == (want is None)
+        if values:
+            assert oracle_first_negative_increment(arr) == want
