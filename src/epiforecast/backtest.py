@@ -388,32 +388,36 @@ ADDITIVE_DEFAULT_GRID = {
     "fourier_order": (3,),
     "period": (7.0,),
 }
-# ARIMA's orders are not a product grid; see arima_default_candidates
+# ARIMA's grid holds one p_max, one q_max and the d values; see expand_grid
 DEFAULT_GRIDS = {
     "additive": ADDITIVE_DEFAULT_GRID,
     "lstm": LSTM_DEFAULT_GRID,
     "autoreg": {"p": AUTOREG_DEFAULT_P},
+    "arima": {
+        "p_max": (ARIMA_DEFAULT_P_MAX,), "q_max": (ARIMA_DEFAULT_Q_MAX,), "d": ARIMA_DEFAULT_D
+    },
     "mlp": MLP_DEFAULT_GRID,
 }
 
 
 def expand_grid(kind: str, grid: dict, seed: int) -> list[ForecasterSpec]:
-    """One spec per combination of the grid's value lists, last key fastest."""
-    keys = list(grid)
-    return [
-        ForecasterSpec(kind, CONFIG_TYPES[kind](**dict(zip(keys, combo))), seed)
-        for combo in itertools.product(*(grid[k] for k in keys))
-    ]
+    """One spec per combination of the grid's value lists, last key fastest; an
+    ARIMA grid gives arima_orders(p_max, q_max, d), simplest order first."""
+    if kind == "arima":
+        (p_max,), (q_max,) = grid["p_max"], grid["q_max"]
+        configs = arima_orders(p_max, q_max, grid["d"])
+    else:
+        keys = list(grid)
+        combos = itertools.product(*(grid[k] for k in keys))
+        configs = [CONFIG_TYPES[kind](**dict(zip(keys, combo))) for combo in combos]
+    return [ForecasterSpec(kind, config, seed) for config in configs]
 
 
 def arima_default_candidates(seed: int = 0) -> list[ForecasterSpec]:
-    """Complexity-ordered (p, d, q) grid so earlier-candidate ties pick simpler."""
-    orders = arima_orders(ARIMA_DEFAULT_P_MAX, ARIMA_DEFAULT_Q_MAX, ARIMA_DEFAULT_D)
-    return [ForecasterSpec("arima", order, seed) for order in orders]
+    """The default (p, d, q) orders, simplest first."""
+    return expand_grid("arima", DEFAULT_GRIDS["arima"], seed)
 
 
 def default_model_grids(seed: int = 0) -> list[tuple[str, list[ForecasterSpec]]]:
     """The five standard entries for a full comparison run, in DISPLAY_NAMES order."""
-    grids = {kind: expand_grid(kind, grid, seed) for kind, grid in DEFAULT_GRIDS.items()}
-    grids["arima"] = arima_default_candidates(seed)
-    return [(name, grids[kind]) for kind, name in DISPLAY_NAMES.items()]
+    return [(name, expand_grid(k, DEFAULT_GRIDS[k], seed)) for k, name in DISPLAY_NAMES.items()]

@@ -22,15 +22,14 @@ from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
+
 from . import __version__
 from .backtest import (
-    ARIMA_DEFAULT_D,
-    ARIMA_DEFAULT_P_MAX,
-    ARIMA_DEFAULT_Q_MAX,
+    DEFAULT_GRIDS,
     DISPLAY_NAMES,
     EvalProtocol,
     compare_models,
-    default_model_grids,
     expand_grid,
     fit_normalized,
     grid_search,
@@ -44,9 +43,12 @@ from .data import (
     extract_series,
     parse_csv,
     read_forecast_csv,
+    read_input,
     write_output,
 )
-from .errors import ContractError, EpiForecastError, ExhaustedGridError, ModelFileError
+from .errors import (
+    ContractError, DivergenceError, EpiForecastError, ExhaustedGridError, ModelFileError
+)
 from .forecasters import (
     KINDS,
     ForecasterSpec,
@@ -55,7 +57,6 @@ from .forecasters import (
     load_model,
     save_model,
 )
-from .forecasters.arima import arima_orders
 from .forecasters.base import CONFIG_TYPES
 from .metrics import fit_score, mse
 from .transform import scale
@@ -121,14 +122,12 @@ def _build_parser() -> _Parser:
 
 
 def _read_ini(path: str, what: str) -> configparser.ConfigParser:
-    """Reads an INI file; a missing or malformed file is a usage error."""
+    """Reads an INI file; an unreadable or malformed file is a usage error."""
     ini = configparser.ConfigParser()
     try:
-        read = ini.read(path)
+        ini.read_string(read_input(path, UsageError), source=path)
     except (ValueError, configparser.Error) as exc:
         raise UsageError(f"malformed {what} file {path}: {exc}") from exc
-    if not read:
-        raise UsageError(f"cannot read {what} file {path}")
     return ini
 
 
@@ -167,61 +166,41 @@ def _parse_bool(raw: str) -> bool:
     raise UsageError(f"not a boolean: {raw!r}")
 
 
-def _grid_overrides(path: str, seed: int) -> dict[str, list[ForecasterSpec]]:
-    ini = _read_ini(path, "grid")
-    out: dict[str, list[ForecasterSpec]] = {}
-    for kind in ini.sections():
-        if kind not in KINDS:
-            raise UsageError(f"unknown model kind [{kind}] in grid file")
-        try:
-            out[kind] = _grid_section(ini, kind, seed)
-        except (ValueError, configparser.Error) as exc:
-            raise UsageError(f"grid section [{kind}]: {exc}") from exc
-    return out
-
-
 def _grid_section(ini: configparser.ConfigParser, kind: str, seed: int) -> list[ForecasterSpec]:
+    """Parses and checks one section and merges it over its defaults: an [arima]
+    section keeps each default it omits, any other gives every field without one."""
     options = {k: [v.strip() for v in raw.split(",")] for k, raw in ini.items(kind)}
     config_type = CONFIG_TYPES[kind]
-    types = get_type_hints(config_type)
-    known = ("p_max", "q_max", "d") if kind == "arima" else types
-    unknown = set(options) - set(known)
+    defaults = DEFAULT_GRIDS[kind] if kind == "arima" else {}  # its keys are not config fields
+    types = dict.fromkeys(defaults, int) if defaults else get_type_hints(config_type)
+    required = [] if defaults else [f.name for f in fields(config_type) if f.default is MISSING]
+    unknown = set(options) - set(types)
     if unknown:
         raise UsageError(f"unknown fields {sorted(unknown)} in grid section [{kind}]")
-    if kind == "arima":
-        for key in ("p_max", "q_max"):
-            if len(options.get(key, ())) > 1:
-                raise UsageError(f"{key} takes one value in grid section [arima]")
-        p_max = int(options["p_max"][0]) if "p_max" in options else ARIMA_DEFAULT_P_MAX
-        q_max = int(options["q_max"][0]) if "q_max" in options else ARIMA_DEFAULT_Q_MAX
-        ds = [int(v) for v in options["d"]] if "d" in options else ARIMA_DEFAULT_D
-        return [ForecasterSpec("arima", order, seed) for order in arima_orders(p_max, q_max, ds)]
-    missing = [
-        f.name
-        for f in fields(config_type)
-        if f.default is MISSING and f.name not in options
-    ]
+    missing = [name for name in required if name not in options]
     if missing:
         raise UsageError(f"grid section [{kind}] needs {', '.join(missing)}")
+    for key in ("p_max", "q_max"):  # ARIMA's orders are expanded from one of each
+        if len(options.get(key, ())) > 1:
+            raise UsageError(f"{key} takes one value in grid section [arima]")
     parsers = {int: int, float: float, bool: _parse_bool}
     grid = {k: [parsers[types[k]](v) for v in vs] for k, vs in options.items()}
-    return expand_grid(kind, grid, seed)
+    return expand_grid(kind, {**defaults, **grid}, seed)
 
 
 def _candidate_grids(seed: int, grid_path: str | None) -> dict[str, list[ForecasterSpec]]:
     """Candidates per kind: the default grids, each replaced by its --grid section."""
-    defaults = dict(default_model_grids(seed))
-    grids = {kind: defaults[name] for kind, name in DISPLAY_NAMES.items()}
+    grids = {kind: expand_grid(kind, DEFAULT_GRIDS[kind], seed) for kind in KINDS}
     if grid_path:
-        grids.update(_grid_overrides(grid_path, seed))
+        ini = _read_ini(grid_path, "grid")
+        for kind in ini.sections():
+            if kind not in KINDS:
+                raise UsageError(f"unknown model kind [{kind}] in grid file")
+            try:
+                grids[kind] = _grid_section(ini, kind, seed)
+            except (ValueError, configparser.Error) as exc:
+                raise UsageError(f"grid section [{kind}]: {exc}") from exc
     return grids
-
-
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
 class _Run:
@@ -234,7 +213,8 @@ class _Run:
         self.config = _resolve(args)
 
     def dataset(self) -> EpidemicDataset:
-        return parse_csv(_read_text(self.args.input), allow_corrections=self.args.allow_corrections)
+        text = read_input(self.args.input, UsageError)
+        return parse_csv(text, allow_corrections=self.args.allow_corrections)
 
     def write(self, name: str, save: Callable[[Path], object], **extra) -> Path:
         """Creates --out, writes name there with save(path), then its sidecar
@@ -308,8 +288,12 @@ def cmd_forecast(args) -> None:
             )
         if (date.max - model.train_end_date).days < horizon:
             raise UsageError(f"--horizon {horizon} ends after {date.max} for {model_path}")
-        values = model.scaler.inverse(forecast(model, horizon))
+        with np.errstate(over="ignore", invalid="ignore"):  # a diverging model is refused below
+            values = model.scaler.inverse(forecast(model, horizon))
         days = [(model.train_end_date + timedelta(days=k + 1)).isoformat() for k in range(horizon)]
+        if not np.isfinite(values).all():
+            first = days[np.isfinite(values).argmin()]
+            raise DivergenceError(f"model file {model_path}: non-finite forecast on {first}")
         floored = [day for day, value in zip(days, values) if value < 0.0]
         if floored:
             logger.warning(
@@ -351,7 +335,7 @@ def cmd_plotdata(args) -> None:
     ds = run.dataset()
     rows = []
     for fc_path in args.forecasts:
-        rows += read_forecast_csv(_read_text(fc_path), fc_path, LABELS.values())
+        rows += read_forecast_csv(read_input(fc_path, UsageError), fc_path, LABELS.values())
     targets = {target for _, target, _, _ in rows}
     if len(targets) != 1:
         raise UsageError(

@@ -5,7 +5,7 @@ Deaths and Recovered (case-insensitive, any order), one row per calendar day,
 YYYY-MM-DD dates, integer counts. Rows must be consecutive days; cumulative
 columns must be non-decreasing unless corrections are explicitly allowed.
 csv_text writes the CSV outputs and read_forecast_csv reads forecast.csv back;
-write_output is the package's one writer of output files.
+read_input and write_output are the package's one file reader and one writer.
 """
 
 from __future__ import annotations
@@ -344,6 +344,15 @@ def train_test_split(s: Series, test_fraction: float = 0.2) -> tuple[Series, Ser
         s.scale_state,
     )
     return train, test
+
+
+def read_input(path: str | Path, error: type[Exception]) -> str:
+    """The text of the file at path. A file that cannot be read or is not text in
+    the locale's encoding raises error, so each caller keeps its own exit code."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
 
 
 def write_output(path: str | Path, text: str) -> None:

@@ -7,7 +7,8 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from ..data import EpidemicDataset, parse_csv
+from ..data import EpidemicDataset, parse_csv, read_input
+from ..errors import EpiForecastError
 
 
 def iran_covid_path() -> Path:
@@ -15,4 +16,4 @@ def iran_covid_path() -> Path:
 
 
 def iran_covid() -> EpidemicDataset:
-    return parse_csv(iran_covid_path().read_text())
+    return parse_csv(read_input(iran_covid_path(), EpiForecastError))

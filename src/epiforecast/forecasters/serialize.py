@@ -17,7 +17,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from ..data import TARGETS, _iso_date, write_output
+from ..data import TARGETS, _iso_date, read_input, write_output
 from ..errors import ModelFileError
 from ..transform import MinMaxScaler
 from .base import CONFIG_TYPES, FittedModel, ForecasterSpec, check_shape
@@ -144,11 +144,7 @@ def save_model(model: FittedModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> FittedModel:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ModelFileError(f"cannot read model file {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
+        doc = json.loads(read_input(path, ModelFileError))
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"truncated or corrupt model file {path}: {exc}") from exc
     if not isinstance(doc, dict):

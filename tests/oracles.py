@@ -8,14 +8,27 @@ well-conditioned parameter points.
 
 from __future__ import annotations
 
+import configparser
 import csv
 import io
+import itertools
 import json
+from dataclasses import MISSING, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
+from epiforecast.backtest import (
+    ARIMA_DEFAULT_D,
+    ARIMA_DEFAULT_P_MAX,
+    ARIMA_DEFAULT_Q_MAX,
+    DEFAULT_GRIDS,
+    DISPLAY_NAMES,
+)
+from epiforecast.cli import UsageError, _parse_bool
 from epiforecast.errors import SingularFitError
+from epiforecast.forecasters import KINDS, ForecasterSpec
 from epiforecast.forecasters.additive import AdditiveParams
 from epiforecast.forecasters.arima import (
     AR_ROOT_LIMIT,
@@ -27,7 +40,7 @@ from epiforecast.forecasters.arima import (
     fit_arima,
 )
 from epiforecast.forecasters.autoreg import ArParams, ar_sum, lag_matrix
-from epiforecast.forecasters.base import LstmConfig, recursive_forecast
+from epiforecast.forecasters.base import CONFIG_TYPES, LstmConfig, recursive_forecast
 from epiforecast.forecasters.lstm import (
     LstmGradients,
     LstmLayerParams,
@@ -851,3 +864,85 @@ def oracle_plot_csv_text(observed, blocks):
     for day, model_label, value in blocks:
         writer.writerow([day, model_label, f"{value:.6f}"])
     return text.getvalue()
+
+
+# --- candidate grids --------------------------------------------------------------
+# The CLI and the harness built their candidate lists this way before
+# backtest.expand_grid expanded ARIMA's grid too: the CLI filled an [arima]
+# section's gaps from the ARIMA_DEFAULT_* constants, and the CLI's defaults went
+# kind -> display name -> kind through default_model_grids.
+
+
+def oracle_expand_product(kind, grid, seed):
+    """One spec per combination of the grid's value lists, last key fastest."""
+    keys = list(grid)
+    return [
+        ForecasterSpec(kind, CONFIG_TYPES[kind](**dict(zip(keys, combo))), seed)
+        for combo in itertools.product(*(grid[k] for k in keys))
+    ]
+
+
+def oracle_arima_default_candidates(seed=0):
+    orders = arima_orders(ARIMA_DEFAULT_P_MAX, ARIMA_DEFAULT_Q_MAX, ARIMA_DEFAULT_D)
+    return [ForecasterSpec("arima", order, seed) for order in orders]
+
+
+def oracle_default_model_grids(seed=0):
+    grids = {
+        kind: oracle_expand_product(kind, grid, seed)
+        for kind, grid in DEFAULT_GRIDS.items()
+        if kind != "arima"
+    }
+    grids["arima"] = oracle_arima_default_candidates(seed)
+    return [(name, grids[kind]) for kind, name in DISPLAY_NAMES.items()]
+
+
+def oracle_grid_section(ini, kind, seed):
+    options = {k: [v.strip() for v in raw.split(",")] for k, raw in ini.items(kind)}
+    config_type = CONFIG_TYPES[kind]
+    types = get_type_hints(config_type)
+    known = ("p_max", "q_max", "d") if kind == "arima" else types
+    unknown = set(options) - set(known)
+    if unknown:
+        raise UsageError(f"unknown fields {sorted(unknown)} in grid section [{kind}]")
+    if kind == "arima":
+        for key in ("p_max", "q_max"):
+            if len(options.get(key, ())) > 1:
+                raise UsageError(f"{key} takes one value in grid section [arima]")
+        p_max = int(options["p_max"][0]) if "p_max" in options else ARIMA_DEFAULT_P_MAX
+        q_max = int(options["q_max"][0]) if "q_max" in options else ARIMA_DEFAULT_Q_MAX
+        ds = [int(v) for v in options["d"]] if "d" in options else ARIMA_DEFAULT_D
+        return [ForecasterSpec("arima", order, seed) for order in arima_orders(p_max, q_max, ds)]
+    missing = [
+        f.name
+        for f in fields(config_type)
+        if f.default is MISSING and f.name not in options
+    ]
+    if missing:
+        raise UsageError(f"grid section [{kind}] needs {', '.join(missing)}")
+    parsers = {int: int, float: float, bool: _parse_bool}
+    grid = {k: [parsers[types[k]](v) for v in vs] for k, vs in options.items()}
+    return oracle_expand_product(kind, grid, seed)
+
+
+def oracle_candidate_grids(seed, grid_path):
+    """Candidates per kind, each default grid replaced by its grid-file section;
+    the file read through configparser's own reader."""
+    defaults = dict(oracle_default_model_grids(seed))
+    grids = {kind: defaults[name] for kind, name in DISPLAY_NAMES.items()}
+    if grid_path:
+        ini = configparser.ConfigParser()
+        try:
+            read = ini.read(grid_path)
+        except (ValueError, configparser.Error) as exc:
+            raise UsageError(f"malformed grid file {grid_path}: {exc}") from exc
+        if not read:
+            raise UsageError(f"cannot read grid file {grid_path}")
+        for kind in ini.sections():
+            if kind not in KINDS:
+                raise UsageError(f"unknown model kind [{kind}] in grid file")
+            try:
+                grids[kind] = oracle_grid_section(ini, kind, seed)
+            except (ValueError, configparser.Error) as exc:
+                raise UsageError(f"grid section [{kind}]: {exc}") from exc
+    return grids

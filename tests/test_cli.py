@@ -3,19 +3,29 @@
 import csv
 import json
 import logging
+import tempfile
+import warnings
 from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from epiforecast import cli, errors
-from epiforecast.backtest import arima_default_candidates
+from epiforecast.backtest import arima_default_candidates, default_model_grids
 from epiforecast.cli import main
 from epiforecast.data import parse_csv, train_test_split
-from epiforecast.forecasters import ForecasterSpec, fit, save_model
+from epiforecast.forecasters import KINDS, ForecasterSpec, fit, save_model
 from epiforecast.forecasters.base import CONFIG_TYPES, ArOrder
+from oracles import (
+    oracle_arima_default_candidates,
+    oracle_candidate_grids,
+    oracle_default_model_grids,
+)
 from support import series
 
 
@@ -1046,3 +1056,156 @@ def test_model_file_train_end_date_must_be_yyyy_mm_dd_on_every_python(tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("error: malformed model file: ") and "Traceback" not in err
     assert not (out / "forecast.csv").exists()
+
+
+# --- one reader for every input file ---------------------------------------------
+
+NOT_TEXT = b"\xff\xfe"  # not UTF-8, the locale encoding of the suite's hosts
+
+
+@pytest.mark.parametrize(
+    "flag, code",
+    [("--input", 1), ("--forecast", 1), ("--grid", 1), ("--config", 1), ("--model-file", 3)],
+)
+def test_a_file_that_is_not_text_is_refused_without_traceback(tmp_path, capsys, flag, code):
+    data = make_csv(tmp_path / "data.csv")
+    bad = tmp_path / "not_text"
+    bad.write_bytes(NOT_TEXT)
+    out = ["--out", str(tmp_path / "out")]
+    args = {
+        "--input": ["validate", "--input", str(bad)],
+        "--forecast": ["plotdata", "--input", str(data), "--forecast", str(bad), *out],
+        "--grid": ["fit", "--input", str(data), "--model", "autoreg", "--grid", str(bad), *out],
+        "--config": [
+            "fit", "--input", str(data), "--model", "autoreg", "--config", str(bad), *out,
+        ],
+        "--model-file": ["forecast", "--model-file", str(bad), *out],
+    }[flag]
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {bad}: ")
+    assert "codec can't decode" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_directory_as_grid_file_is_usage_error(tmp_path, capsys):
+    data = make_csv(tmp_path / "data.csv")
+    args = ["fit", "--input", str(data), "--model", "autoreg", "--grid", str(tmp_path)]
+    assert main(args + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {tmp_path}: ") and "Traceback" not in err
+
+
+# --- forecasts that are not finite --------------------------------------------------
+
+
+def bundled_deaths_autoreg(tmp_path, capsys, iran_path):
+    out = tmp_path / "models"
+    args = ["fit", "--input", str(iran_path), "--target", "deaths", "--model", "autoreg"]
+    assert main(args + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    return out / "model_deaths_autoreg.json"
+
+
+@pytest.mark.parametrize(
+    "section, key, value, first",
+    [("params", "phi", 1e300, "2021-03-14"), ("scaler", "max", 1.797e308, "2021-03-13")],
+    ids=["diverging-phi", "overflowing-scaler"],
+)
+def test_a_forecast_that_is_not_finite_is_a_model_error(
+    tmp_path, capsys, iran_path, section, key, value, first
+):
+    model_path = bundled_deaths_autoreg(tmp_path, capsys, iran_path)
+    doc = json.loads(model_path.read_text())
+    if key == "phi":
+        doc[section][key][0] = value
+    else:
+        doc[section][key] = value
+    model_path.write_text(json.dumps(doc))
+    out = tmp_path / "fc"
+    args = ["forecast", "--model-file", str(model_path), "--horizon", "5", "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: model file {model_path}: non-finite forecast on {first}\n"
+    assert not caught, [str(w.message) for w in caught]
+    assert not out.exists()
+
+
+# --- one expander for every candidate grid ------------------------------------------
+
+
+def assert_same_specs(new, old):
+    """Equal spec lists in equal order, with equal reprs (1 and 1.0 differ there)."""
+    assert new == old
+    assert [repr(spec) for spec in new] == [repr(spec) for spec in old]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_default_grids_match_the_old_expansion(seed):
+    new, old = default_model_grids(seed), oracle_default_model_grids(seed)
+    assert [name for name, _ in new] == [name for name, _ in old]
+    for (_, new_specs), (_, old_specs) in zip(new, old):
+        assert_same_specs(new_specs, old_specs)
+    assert_same_specs(arima_default_candidates(seed), oracle_arima_default_candidates(seed))
+    grids, old_grids = cli._candidate_grids(seed, None), oracle_candidate_grids(seed, None)
+    assert sorted(grids) == sorted(old_grids) == sorted(KINDS)
+    for kind in KINDS:
+        assert_same_specs(grids[kind], old_grids[kind])
+
+
+_GRID_VALUES = {
+    int: st.integers(1, 3).map(str),
+    float: st.sampled_from(["0.1", "1", "2.5", "1e-3"]),
+    bool: st.sampled_from(["yes", "off", "true", "0"]),
+}
+_ARIMA_VALUES = st.integers(0, 2).map(str)  # d = 0 and p_max = q_max = 0 among them
+
+
+@st.composite
+def _value_list(draw, values, max_size):
+    return ", ".join(draw(st.lists(values, min_size=1, max_size=max_size)))
+
+
+@st.composite
+def grid_files(draw):
+    """Grid-file text with a section for some kinds. A section has some of its
+    keys, sometimes lacks a required one or has an unknown one, and an [arima]
+    section has or omits each of p_max, q_max and d."""
+    sections = []
+    for kind in draw(st.lists(st.sampled_from(KINDS), unique=True, max_size=len(KINDS))):
+        if kind == "arima":
+            keys = dict.fromkeys(("p_max", "q_max", "d"), _ARIMA_VALUES)
+        else:
+            keys = {k: _GRID_VALUES[tp] for k, tp in get_type_hints(CONFIG_TYPES[kind]).items()}
+        lines = [f"[{kind}]"]
+        for key, values in keys.items():
+            if draw(st.integers(0, 9)):  # most sections give most keys
+                size = 1 if key in ("p_max", "q_max") and draw(st.integers(0, 9)) else 3
+                lines.append(f"{key} = {draw(_value_list(values, size))}")
+        if not draw(st.integers(0, 19)):
+            lines.append("typo = 1")
+        sections.append("\n".join(lines))
+    return "\n\n".join(sections) + "\n"
+
+
+def _candidates_or_error(candidate_grids, seed, path):
+    try:
+        grids = candidate_grids(seed, path)
+    except cli.UsageError as exc:
+        return str(exc)
+    return {kind: [repr(spec) for spec in grids[kind]] for kind in sorted(grids)}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=grid_files(), seed=st.integers(0, 9))
+def test_grid_files_expand_as_before(text, seed):
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "grid.ini"
+        path.write_text(text)
+        new = _candidates_or_error(cli._candidate_grids, seed, str(path))
+        old = _candidates_or_error(oracle_candidate_grids, seed, str(path))
+    event("refused" if isinstance(new, str) else "expanded")
+    event("with [arima]" if "[arima]" in text else "without [arima]")
+    assert new == old

@@ -1,5 +1,6 @@
 """CSV ingestion, dataset structure, series extraction and splitting."""
 
+import re
 from datetime import date
 
 import numpy as np
@@ -15,6 +16,7 @@ from epiforecast.data import (
     extract_series,
     incident_to_cumulative,
     parse_csv,
+    read_input,
     train_test_split,
     validate_series,
 )
@@ -300,3 +302,22 @@ def test_first_decrease_is_the_four_checks_it_replaced(values):
         assert oracle_column_monotone(arr) == (want is None)
         if values:
             assert oracle_first_negative_increment(arr) == want
+
+
+def test_read_input_returns_the_text_of_a_file(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("Date,Confirmed\n")
+    assert read_input(path, ContractError) == "Date,Confirmed\n"
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not-text"])
+def test_read_input_raises_the_callers_error_class(tmp_path, case):
+    path = tmp_path / "input"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not-text":
+        path.write_bytes(b"\xff\xfe")
+    with pytest.raises(ParseError, match=f"^cannot read {re.escape(str(path))}: ") as info:
+        read_input(path, ParseError)
+    cause = UnicodeDecodeError if case == "not-text" else OSError
+    assert isinstance(info.value.__cause__, cause)
