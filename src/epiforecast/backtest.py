@@ -56,8 +56,8 @@ DISPLAY_NAMES = {
 class EvalProtocol:
     """How to score a spec: chronological holdout or rolling origins.
 
-    test_fraction drives holdout splits (and validation carving in grid
-    search); initial_train/step/horizon drive the rolling variant.
+    test_fraction drives holdout splits; initial_train/step/horizon drive the
+    rolling variant. folds decides which folds of a series get scored.
     """
 
     kind: str = "holdout"
@@ -71,6 +71,24 @@ class EvalProtocol:
             raise ContractError(f"unknown protocol kind {self.kind!r}")
         if self.step < 1 or self.horizon < 1:
             raise ContractError("step and horizon must be >= 1")
+
+    def folds(self, s: Series) -> list[tuple[int, int]]:
+        """The (origin, horizon) pairs scored on s: a holdout is the one fold at
+        the end of its fit part, a rolling protocol every origin from initial_train."""
+        if self.kind == "holdout":
+            fit_part, val = train_test_split(s, self.test_fraction)
+            return [(len(fit_part), len(val))]
+        n, first = len(s), self.initial_train
+        if first is None:
+            raise ContractError("a rolling_origin protocol requires initial_train")
+        if first < 2:
+            raise ContractError("initial_train must be >= 2")
+        if n - first - self.horizon < 0:
+            raise ContractError(
+                f"series of length {n} has no room for one fold "
+                f"(initial_train {first}, horizon {self.horizon})"
+            )
+        return [(origin, self.horizon) for origin in range(first, n - self.horizon + 1, self.step)]
 
 
 class HoldoutScores(NamedTuple):
@@ -113,44 +131,24 @@ def _fold_mse(spec: ForecasterSpec, s: Series, origin: int, horizon: int) -> flo
 def rolling_origin_eval(
     spec: ForecasterSpec, s: Series, protocol: EvalProtocol
 ) -> list[FoldScore]:
-    """Refit at each origin, forecast protocol.horizon steps, score each fold."""
-    if protocol.initial_train is None:
-        raise ContractError("rolling_origin_eval requires protocol.initial_train")
-    n = len(s)
-    first = protocol.initial_train
-    if first < 2:
-        raise ContractError("initial_train must be >= 2")
-    if n - first - protocol.horizon < 0:
-        raise ContractError(
-            f"series of length {n} has no room for one fold "
-            f"(initial_train {first}, horizon {protocol.horizon})"
-        )
-    return [
-        FoldScore(origin, _fold_mse(spec, s, origin, protocol.horizon))
-        for origin in range(first, n - protocol.horizon + 1, protocol.step)
-    ]
+    """Refit at each of the protocol's origins and score each fold's forecast."""
+    return [FoldScore(o, _fold_mse(spec, s, o, h)) for o, h in protocol.folds(s)]
 
 
 def grid_search(
     candidates: Sequence[ForecasterSpec], train: Series, protocol: EvalProtocol | None = None
 ) -> tuple[ForecasterSpec, FittedModel, float]:
-    """Score every candidate on a validation tail of train; refit the winner on
-    all of train. Ties break toward the earlier candidate (strict improvement
-    only); failed candidates are logged and skipped."""
+    """Score each candidate by its mean MSE over the protocol's folds of train;
+    refit the winner on all of train. Ties break toward the earlier candidate
+    (strict improvement only); failed candidates are logged and skipped."""
     if not candidates:
         raise ContractError("grid_search needs at least one candidate")
-    protocol = protocol or EvalProtocol()
-    if protocol.kind == "holdout":
-        fit_part, val = train_test_split(train, protocol.test_fraction)
+    folds = (protocol or EvalProtocol()).folds(train)
     best_spec = best_score = None
     failures = []
     for spec in candidates:
         try:
-            if protocol.kind == "holdout":
-                score = _fold_mse(spec, train, len(fit_part), len(val))
-            else:
-                folds = rolling_origin_eval(spec, train, protocol)
-                score = sum(f.mse for f in folds) / len(folds)
+            score = sum(_fold_mse(spec, train, o, h) for o, h in folds) / len(folds)
         except Exception as exc:  # one failing candidate must not end the search
             reason = _failure(exc, f"grid search skipping {spec.kind} {spec.config}")
             failures.append((spec, reason))

@@ -347,10 +347,10 @@ def train_test_split(s: Series, test_fraction: float = 0.2) -> tuple[Series, Ser
 
 
 def read_input(path: str | Path, error: type[Exception]) -> str:
-    """The text of the file at path. A file that cannot be read or is not text in
-    the locale's encoding raises error, so each caller keeps its own exit code."""
+    """The text of the file at path, less a leading byte-order mark. A file that cannot
+    be read or is not text in the locale's encoding raises error, each caller's own."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text().removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {path}: {exc}") from exc
 

@@ -91,13 +91,6 @@ class LstmParameters:
     loss_history: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
-class LstmGradients:
-    layers: tuple[LstmLayerParams, ...]
-    head_w: np.ndarray
-    head_b: float
-
-
 def lstm_cell_step(
     x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, layer: LstmLayerParams
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -157,8 +150,9 @@ def _forward_batch(params: LstmParameters, X: np.ndarray):
     return preds, (caches, h_last)
 
 
-def _backward_batch(params: LstmParameters, cache, d_preds: np.ndarray) -> LstmGradients:
-    """Exact BPTT for the batched forward pass; d_preds is dLoss/dprediction."""
+def _backward_batch(params: LstmParameters, cache, d_preds: np.ndarray) -> LstmParameters:
+    """Exact BPTT for the batched forward pass; d_preds is dLoss/dprediction. The
+    gradient has params' shapes and an empty loss_history."""
     caches, h_last = cache
     grad_head_w = h_last.T @ d_preds
     grad_head_b = float(np.sum(d_preds))
@@ -207,7 +201,7 @@ def _backward_batch(params: LstmParameters, cache, d_preds: np.ndarray) -> LstmG
             dc = dc_t * f
         layer_grads[li] = LstmLayerParams(W=dW, b=db)
         d_inputs_above = d_inputs
-    return LstmGradients(layers=tuple(layer_grads), head_w=grad_head_w, head_b=grad_head_b)
+    return LstmParameters(layers=tuple(layer_grads), head_w=grad_head_w, head_b=grad_head_b)
 
 
 def lstm_forward(params: LstmParameters, window: np.ndarray):
@@ -219,7 +213,7 @@ def lstm_forward(params: LstmParameters, window: np.ndarray):
     return float(preds[0]), cache
 
 
-def lstm_backward(params: LstmParameters, cache, d_prediction: float) -> LstmGradients:
+def lstm_backward(params: LstmParameters, cache, d_prediction: float) -> LstmParameters:
     """Gradients of the loss contribution given dLoss/dprediction for one window."""
     return _backward_batch(params, cache, np.array([d_prediction], dtype=np.float64))
 

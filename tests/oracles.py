@@ -13,7 +13,7 @@ import csv
 import io
 import itertools
 import json
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
@@ -25,9 +25,15 @@ from epiforecast.backtest import (
     ARIMA_DEFAULT_Q_MAX,
     DEFAULT_GRIDS,
     DISPLAY_NAMES,
+    EvalProtocol,
+    FoldScore,
+    _failure,
+    _fold_mse,
+    fit_normalized,
 )
 from epiforecast.cli import UsageError, _parse_bool
-from epiforecast.errors import SingularFitError
+from epiforecast.data import train_test_split
+from epiforecast.errors import ContractError, ExhaustedGridError, SingularFitError
 from epiforecast.forecasters import KINDS, ForecasterSpec
 from epiforecast.forecasters.additive import AdditiveParams
 from epiforecast.forecasters.arima import (
@@ -42,7 +48,6 @@ from epiforecast.forecasters.arima import (
 from epiforecast.forecasters.autoreg import ArParams, ar_sum, lag_matrix
 from epiforecast.forecasters.base import CONFIG_TYPES, LstmConfig, recursive_forecast
 from epiforecast.forecasters.lstm import (
-    LstmGradients,
     LstmLayerParams,
     LstmParameters,
     init_lstm_parameters,
@@ -393,6 +398,13 @@ def lstm_gradcheck_max_rel_err(seed: int) -> float:
 # --- LSTM batch kernel reference --------------------------------------------
 # The batch-major forward and backward passes the unit-major kernel in
 # forecasters/lstm.py replaced; the kernel must reproduce them bit for bit.
+
+
+@dataclass(frozen=True)
+class LstmGradients:
+    layers: tuple[LstmLayerParams, ...]
+    head_w: np.ndarray
+    head_b: float
 
 
 def _oracle_sigmoid(x):
@@ -946,3 +958,56 @@ def oracle_candidate_grids(seed, grid_path):
             except (ValueError, configparser.Error) as exc:
                 raise UsageError(f"grid section [{kind}]: {exc}") from exc
     return grids
+
+
+# --- validation folds ---------------------------------------------------------------
+# grid_search's scoring and rolling_origin_eval as they were before
+# EvalProtocol.folds decided which folds get scored: grid_search branched on the
+# protocol's kind, and rolling_origin_eval kept the rolling layout and its checks.
+
+
+def oracle_rolling_origin_eval(spec, s, protocol):
+    if protocol.initial_train is None:
+        raise ContractError("rolling_origin_eval requires protocol.initial_train")
+    n = len(s)
+    first = protocol.initial_train
+    if first < 2:
+        raise ContractError("initial_train must be >= 2")
+    if n - first - protocol.horizon < 0:
+        raise ContractError(
+            f"series of length {n} has no room for one fold "
+            f"(initial_train {first}, horizon {protocol.horizon})"
+        )
+    return [
+        FoldScore(origin, _fold_mse(spec, s, origin, protocol.horizon))
+        for origin in range(first, n - protocol.horizon + 1, protocol.step)
+    ]
+
+
+def oracle_grid_search(candidates, train, protocol=None):
+    if not candidates:
+        raise ContractError("grid_search needs at least one candidate")
+    protocol = protocol or EvalProtocol()
+    if protocol.kind == "holdout":
+        fit_part, val = train_test_split(train, protocol.test_fraction)
+    best_spec = best_score = None
+    failures = []
+    for spec in candidates:
+        try:
+            if protocol.kind == "holdout":
+                score = _fold_mse(spec, train, len(fit_part), len(val))
+            else:
+                folds = oracle_rolling_origin_eval(spec, train, protocol)
+                score = sum(f.mse for f in folds) / len(folds)
+        except Exception as exc:
+            reason = _failure(exc, f"grid search skipping {spec.kind} {spec.config}")
+            failures.append((spec, reason))
+            continue
+        if best_score is None or score < best_score:
+            best_score = score
+            best_spec = spec
+    if best_spec is None:
+        raise ExhaustedGridError(
+            f"all {len(failures)} grid candidates failed; last: {failures[-1][1]}"
+        )
+    return best_spec, fit_normalized(best_spec, train), best_score

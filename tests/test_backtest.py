@@ -1,9 +1,12 @@
 """Evaluation harness: splits, rolling origins, grid search and reports."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import epiforecast.backtest as bt
 from epiforecast.backtest import (
@@ -16,6 +19,7 @@ from epiforecast.backtest import (
     arima_default_candidates,
     compare_models,
     default_model_grids,
+    expand_grid,
     grid_search,
     holdout_eval,
     render_table,
@@ -29,6 +33,7 @@ from epiforecast.forecasters.base import ArOrder, LstmConfig
 from epiforecast.forecasters.base import AdditiveConfig, MlpConfig
 from epiforecast.metrics import mse
 from epiforecast.transform import fit_scaler, scale
+from oracles import oracle_grid_search, oracle_rolling_origin_eval
 from support import series
 
 
@@ -338,3 +343,113 @@ def test_score_notes_the_metrics_it_cannot_define():
     bt._score(row, spec, model, series(np.full(80, 1.0)), test)
     assert row.mase_test is None and row.mape_test is not None
     assert row.notes == ["mase_test undefined: mase undefined: training series is constant"]
+
+
+# --- one fold rule -----------------------------------------------------------------
+
+
+def assert_same_float(got, want):
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+FOLD_GRIDS = {
+    "autoreg": expand_grid("autoreg", {"p": (1, 2, 3, 7, 14)}, 0),
+    "additive": expand_grid(
+        "additive",
+        {
+            "n_changepoints": (2, 5),
+            "changepoint_penalty": (0.1, 10.0),
+            "fourier_order": (1, 3),
+            "period": (7.0,),
+        },
+        0,
+    ),
+}
+FOLD_PROTOCOLS = {
+    "holdout": EvalProtocol(),
+    "holdout-0.35": EvalProtocol(test_fraction=0.35),
+    "rolling-50-10-5": EvalProtocol(kind="rolling_origin", initial_train=50, step=10, horizon=5),
+    "rolling-60-7-14": EvalProtocol(kind="rolling_origin", initial_train=60, step=7, horizon=14),
+}
+
+
+@pytest.mark.parametrize("protocol", FOLD_PROTOCOLS.values(), ids=FOLD_PROTOCOLS)
+@pytest.mark.parametrize("kind", FOLD_GRIDS)
+def test_grid_search_scores_as_before_the_fold_rule(kind, protocol):
+    s = wiggly_series(100, seed=3)
+    candidates = FOLD_GRIDS[kind]
+    chosen, model, score = grid_search(candidates, s, protocol)
+    want_chosen, want_model, want_score = oracle_grid_search(candidates, s, protocol)
+    assert chosen is want_chosen
+    assert_same_float(score, want_score)
+    assert forecast(model, 20).tobytes() == forecast(want_model, 20).tobytes()
+    assert model.train_tail.tobytes() == want_model.train_tail.tobytes()
+    if protocol.kind == "rolling_origin":
+        for spec in candidates:
+            got = rolling_origin_eval(spec, s, protocol)
+            want = oracle_rolling_origin_eval(spec, s, protocol)
+            assert [f.origin for f in got] == [f.origin for f in want]
+            for got_fold, want_fold in zip(got, want):
+                assert_same_float(got_fold.mse, want_fold.mse)
+
+
+def test_grid_search_calls_mse_once_per_scored_fold(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return mse(*args)
+
+    monkeypatch.setattr(bt, "mse", counted)
+    grid_search(FOLD_GRIDS["autoreg"], wiggly_series(100), FOLD_PROTOCOLS["rolling-50-10-5"])
+    assert len(calls) == len(FOLD_GRIDS["autoreg"]) * 5  # origins 50, 60, 70, 80 and 90
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 400),
+    test_fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+@example(n=100, test_fraction=0.2)
+@example(n=1, test_fraction=0.2)
+def test_holdout_folds_are_the_train_test_split(n, test_fraction):
+    s = series(np.zeros(n))
+    protocol = EvalProtocol(test_fraction=test_fraction)
+    try:
+        fit_part, val = train_test_split(s, test_fraction)
+    except ContractError as exc:
+        with pytest.raises(ContractError, match=re.escape(str(exc))):
+            protocol.folds(s)
+    else:
+        assert protocol.folds(s) == [(len(fit_part), len(val))]
+
+
+@pytest.mark.parametrize(
+    "protocol, message",
+    [
+        (EvalProtocol(kind="rolling_origin"), "initial_train"),
+        (EvalProtocol(kind="rolling_origin", initial_train=25, horizon=10), "no room"),
+    ],
+    ids=["no-initial-train", "no-room"],
+)
+def test_grid_search_refuses_a_rolling_protocol_that_cannot_fold_train(
+    monkeypatch, protocol, message
+):
+    # the folds are laid out once, before any candidate is fitted, so a layout that
+    # does not fit train is the caller's error, not a failure of every candidate
+    fits = []
+    monkeypatch.setattr(bt, "fit_normalized", lambda *args: fits.append(args))
+    candidates = FOLD_GRIDS["autoreg"][:2]
+    with pytest.raises(ContractError, match=message):
+        grid_search(candidates, wiggly_series(30), protocol)
+    assert fits == []
+
+
+def test_rolling_origin_eval_scores_the_one_fold_of_a_holdout_protocol():
+    s = wiggly_series(100)
+    spec = ForecasterSpec("autoreg", ArOrder(2), 0)
+    protocol = EvalProtocol(test_fraction=0.25)
+    (fold,) = rolling_origin_eval(spec, s, protocol)
+    _, _, score = grid_search([spec], s, protocol)
+    assert fold.origin == 75
+    assert_same_float(fold.mse, score)

@@ -1096,6 +1096,53 @@ def test_a_directory_as_grid_file_is_usage_error(tmp_path, capsys):
     assert err.startswith(f"error: cannot read {tmp_path}: ") and "Traceback" not in err
 
 
+BOM = "\ufeff".encode()  # the UTF-8 byte-order mark spreadsheet exports write
+
+
+@pytest.mark.parametrize("flag", ["--input", "--forecast", "--grid", "--config", "--model-file"])
+def test_a_leading_byte_order_mark_is_accepted(tmp_path, capsys, monkeypatch, iran_path, flag):
+    # the same commands twice, from two directories with equal relative paths, the
+    # flag's file prefixed with the mark in the second: equal stdout and outputs
+    data = ["--input", "data.csv"]
+    fit_args = ["fit", *data, "--model", "autoreg", "--target", "deaths"]
+    plot_args = ["plotdata", *data, "--forecast", "made/forecast.csv", "--out", "out"]
+    commands, name = {
+        "--input": ([["validate", *data], plot_args], "data.csv"),
+        "--forecast": ([plot_args], "made/forecast.csv"),
+        "--grid": ([[*fit_args, "--grid", "grid.ini", "--out", "out"]], "grid.ini"),
+        "--config": (
+            [["fit", *data, "--model", "autoreg", "--config", "run.ini", "--out", "out"]],
+            "run.ini",
+        ),
+        "--model-file": (
+            [["forecast", "--model-file", "made/model_deaths_autoreg.json", "--out", "out"]],
+            "made/model_deaths_autoreg.json",
+        ),
+    }[flag]
+    runs = []
+    for mark in (b"", BOM):
+        root = tmp_path / ("bom" if mark else "plain")
+        root.mkdir()
+        monkeypatch.chdir(root)
+        Path("data.csv").write_bytes(Path(iran_path).read_bytes())
+        Path("grid.ini").write_text("[autoreg]\np = 1, 2, 7\n")
+        Path("run.ini").write_text("[run]\ntarget = deaths\nseed = 3\ntest_fraction = 0.25\n")
+        assert main([*fit_args, "--out", "made"]) == 0
+        made = ["--model-file", "made/model_deaths_autoreg.json", "--horizon", "7"]
+        assert main(["forecast", *made, "--out", "made"]) == 0
+        Path(name).write_bytes(mark + Path(name).read_bytes())
+        capsys.readouterr()
+        codes = [main(args) for args in commands]
+        outputs = {
+            path.name: json.loads(path.read_text())["effective_config"]
+            if path.name.endswith(".meta.json") else path.read_bytes()
+            for path in sorted(Path("out").glob("*"))
+        }
+        runs.append((codes, capsys.readouterr(), outputs))
+    assert set(runs[0][0]) == {0} and len(runs[0][2]) == 2
+    assert runs[1] == runs[0]
+
+
 # --- forecasts that are not finite --------------------------------------------------
 
 

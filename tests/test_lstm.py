@@ -279,6 +279,20 @@ def test_batch_kernel_is_bit_identical_to_batch_major_oracle(layers, units, wind
     assert grads.head_b == want.head_b
 
 
+def test_backward_returns_the_gradient_as_parameters_of_the_same_shapes():
+    config = LstmConfig(num_units=3, window=4, epochs=1, learning_rate=0.1, layers=2)
+    params = init_lstm_parameters(config, np.random.default_rng(0))
+    X = np.random.default_rng(1).uniform(-1.0, 1.0, (5, 4))
+    _, cache = _forward_batch(params, X)
+    grads = _backward_batch(params, cache, np.ones(5))
+    assert type(grads) is LstmParameters and grads.loss_history == ()
+    assert [(g.W.shape, g.b.shape) for g in grads.layers] == [
+        (p.W.shape, p.b.shape) for p in params.layers
+    ]
+    assert grads.head_w.shape == params.head_w.shape and type(grads.head_b) is float
+    assert type(lstm_backward(params, lstm_forward(params, X[0])[1], 1.0)) is LstmParameters
+
+
 @pytest.mark.parametrize(
     "units, window, batch_size, layers",
     [(4, 5, 8, 2), (1, 3, 16, 2), (3, 4, 0, 1), (2, 2, 6, 3)],
