@@ -27,10 +27,17 @@ logger = logging.getLogger(__name__)
 
 REPORT_SCHEMA_VERSION = 1
 
-PROTOCOL_NOTE = (
-    "hyperparameters selected on a validation tail of the training split; "
-    "test data is never used for fitting or selection"
-)
+PROTOCOL_NOTES = {
+    "holdout": (
+        "hyperparameters selected on a validation tail of the training split; "
+        "test data is never used for fitting or selection"
+    ),
+    "rolling_origin": (
+        "hyperparameters selected on rolling-origin folds of the training split "
+        "(Tashman 2000): origins from initial_train by step, each scoring the next "
+        "horizon points; test data is never used for fitting or selection"
+    ),
+}
 
 # Published benchmark scores for this dataset family (normalized-scale MSE and
 # R^2). The seeds and exact hyperparameters behind them are unpublished, so
@@ -71,6 +78,8 @@ class EvalProtocol:
             raise ContractError(f"unknown protocol kind {self.kind!r}")
         if self.step < 1 or self.horizon < 1:
             raise ContractError("step and horizon must be >= 1")
+        if self.kind == "holdout" and (self.initial_train, self.step, self.horizon) != (None, 1, 1):
+            raise ContractError("a holdout protocol takes no initial_train, step or horizon")
 
     def folds(self, s: Series) -> list[tuple[int, int]]:
         """The (origin, horizon) pairs scored on s: a holdout is the one fold at
@@ -216,6 +225,10 @@ class BacktestReport:
     def to_dict(self, include_wall_times: bool = False) -> dict:
         """Key-value tree for the report file. Wall times stay out by default
         so reruns are byte identical; sidecars carry them instead."""
+        p = self.protocol
+        protocol = {"kind": p.kind, "test_fraction": p.test_fraction}
+        if p.kind == "rolling_origin":
+            protocol.update(initial_train=p.initial_train, step=p.step, horizon=p.horizon)
         doc = {
             "schema_version": REPORT_SCHEMA_VERSION,
             "target": self.target,
@@ -226,11 +239,8 @@ class BacktestReport:
                 "test_start": self.test_start.isoformat(),
                 "test_end": self.test_end.isoformat(),
             },
-            "protocol": {
-                "kind": self.protocol.kind,
-                "test_fraction": self.protocol.test_fraction,
-            },
-            "protocol_note": PROTOCOL_NOTE,
+            "protocol": protocol,
+            "protocol_note": PROTOCOL_NOTES[p.kind],
             "models": [],
             "reference": {
                 "scores": REFERENCE_SCORES,

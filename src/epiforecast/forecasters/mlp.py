@@ -4,6 +4,22 @@ tanh hidden activation, linear output, full-batch gradient descent. With
 hidden_units = 0 the net collapses to a linear map of the window, i.e. plain
 linear autoregression trained by gradient descent. The seasonal variant
 appends a day-of-week one-hot for the day being predicted.
+
+Training kernel. An epoch is per-op dispatch and allocation on small arrays,
+so _gradients writes H, dH, 1 - H*H, the error and d_preds into buffers that
+fit_mlp allocates once per fit, and computes preds - y once for the gradient
+and the loss. fit_mlp writes W - lr * g into the gradient arrays the products
+and dH.sum(axis=0) have just allocated, so no buffer aliases an MlpParams.
+This reproduces the allocating version (kept as a test oracle) bit for bit:
+  * every matrix product keeps its operands, shapes and memory layout, from
+    which OpenBLAS picks its kernel and so its summation order: X @ W.T (into
+    a C-contiguous (n, h) buffer), H @ out_w, dH.T @ X and H.T @ d_preds;
+  * np.add.reduce is the pairwise sum inside np.sum and np.mean, and the loss
+    divides it by n as np.mean does; dH.sum(axis=0) is unchanged;
+  * an elementwise op writes the same bits into a buffer as into a new array,
+    and each keeps its operands (np.outer(a, b) is a[:, None] * b; lr * g is
+    g * lr). Stacked candidates, transposed layouts, ones @ dH or fused ops
+    would change summation orders or roundings.
 """
 
 from __future__ import annotations
@@ -78,19 +94,48 @@ def _forward(params: MlpParams, X: np.ndarray) -> np.ndarray:
     return _hidden(params, X) @ params.out_w + params.out_b
 
 
+def _work(n: int, h: int) -> tuple[np.ndarray, ...]:
+    """_gradients' buffers for n rows and h hidden units: H, dH and 1 - H*H
+    (n, h), then the error and d_preds (n,)."""
+    return np.empty((n, h)), np.empty((n, h)), np.empty((n, h)), np.empty(n), np.empty(n)
+
+
+def _gradients(
+    params: MlpParams, X: np.ndarray, y: np.ndarray, work: tuple[np.ndarray, ...]
+) -> tuple[MlpParams, np.ndarray, float]:
+    """mlp_gradients' kernel, plus the mean squared error of the predictions.
+    Temporaries go into work's buffers; the gradient arrays are new, so a
+    caller may overwrite them."""
+    H, dH, dtanh, err, d_preds = work
+    if params.hidden_w is None:
+        H = X
+    else:
+        np.matmul(X, params.hidden_w.T, out=H)
+        np.add(H, params.hidden_b, out=H)
+        np.tanh(H, out=H)
+    preds = H @ params.out_w
+    preds += params.out_b
+    np.subtract(preds, y, out=err)
+    np.multiply(2.0 / len(y), err, out=d_preds)
+    hidden_w = hidden_b = None
+    if params.hidden_w is not None:
+        np.multiply(d_preds[:, None], params.out_w, out=dH)
+        np.multiply(H, H, out=dtanh)
+        np.subtract(1.0, dtanh, out=dtanh)
+        np.multiply(dH, dtanh, out=dH)
+        hidden_w, hidden_b = dH.T @ X, dH.sum(axis=0)
+    grads = MlpParams(hidden_w, hidden_b, H.T @ d_preds, float(np.add.reduce(d_preds)))
+    np.multiply(err, err, out=err)
+    return grads, preds, float(np.add.reduce(err)) / len(y)
+
+
 def mlp_gradients(
     params: MlpParams, X: np.ndarray, y: np.ndarray
 ) -> tuple[MlpParams, np.ndarray]:
     """Exact gradient of mean squared error over (X, y), as an MlpParams with
     params' shapes, plus the predictions."""
-    H = _hidden(params, X)
-    preds = H @ params.out_w + params.out_b
-    d_preds = (2.0 / len(y)) * (preds - y)
-    hidden_w = hidden_b = None
-    if params.hidden_w is not None:
-        dH = np.outer(d_preds, params.out_w) * (1.0 - H * H)
-        hidden_w, hidden_b = dH.T @ X, dH.sum(axis=0)
-    return MlpParams(hidden_w, hidden_b, H.T @ d_preds, float(np.sum(d_preds))), preds
+    h = 0 if params.hidden_w is None else len(params.hidden_w)
+    return _gradients(params, X, y, _work(len(y), h))[:2]
 
 
 def fit_mlp(train: Series, config: MlpConfig, seed: int = 0) -> FittedModel:
@@ -108,16 +153,21 @@ def fit_mlp(train: Series, config: MlpConfig, seed: int = 0) -> FittedModel:
     params = MlpParams(hidden_w, hidden_b, out_w, out_b)
 
     lr = config.learning_rate
+    work = _work(n, h)
+
+    def update(w: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """w - lr * g, written into g."""
+        np.multiply(g, lr, out=g)
+        return np.subtract(w, g, out=g)
 
     def epoch(params: MlpParams) -> tuple[MlpParams, float]:
-        grads, preds = mlp_gradients(params, X, y)
-        err = preds - y
+        grads, _, value = _gradients(params, X, y, work)
         return MlpParams(  # next_dow is set after training
-            hidden_w=params.hidden_w - lr * grads.hidden_w if h > 0 else None,
-            hidden_b=params.hidden_b - lr * grads.hidden_b if h > 0 else None,
-            out_w=params.out_w - lr * grads.out_w,
+            hidden_w=update(params.hidden_w, grads.hidden_w) if h > 0 else None,
+            hidden_b=update(params.hidden_b, grads.hidden_b) if h > 0 else None,
+            out_w=update(params.out_w, grads.out_w),
             out_b=params.out_b - lr * grads.out_b,
-        ), float(np.mean(err * err))
+        ), value
 
     def loss(params: MlpParams) -> float:
         return float(np.mean((_forward(params, X) - y) ** 2))

@@ -1,10 +1,10 @@
-"""Release gate: eleven end-to-end checks, one visible verdict line each.
+"""Release gate: twelve end-to-end checks, one visible verdict line each.
 
 Every test prints "ACCEPTANCE nn <name>: PASS/FAIL (<detail>)" directly to
 the console — even under plain pytest — so a run's verdicts read straight
 off the output. The checks cover numerical correctness (metric formulas,
 gradients, estimator recovery), structural equivalences between models,
-exact round trips, the bundled-dataset comparison experiment, CLI output
+exact round trips, the bundled-dataset comparison experiments, CLI output
 contracts, run-to-run determinism, and a train/test isolation audit.
 """
 
@@ -21,7 +21,8 @@ import pytest
 import epiforecast.backtest as bt
 from epiforecast.backtest import compare_models, default_model_grids
 from epiforecast.cli import main
-from epiforecast.data import cumulative_to_incident, incident_to_cumulative, train_test_split
+from epiforecast.data import cumulative_to_incident, extract_series, incident_to_cumulative
+from epiforecast.data import train_test_split
 from epiforecast.forecasters import (
     ForecasterSpec,
     fit,
@@ -282,19 +283,21 @@ def test_criterion_06_round_trips(capsys, tmp_path, iran, confirmed, deaths):
 # ---------------------------------------------------------------- criterion 7
 
 
+def _tuned_test_mse(name, seed, s, target):
+    """Test MSE of one family's default grid, tuned and refitted by compare_models."""
+    entries = [e for e in default_model_grids(seed) if e[0] == name]
+    row = compare_models(entries, s, target=target).rows[0]
+    assert row.error is None, f"{name}: {row.error}"
+    return row.mse_test
+
+
 @pytest.mark.slow
 def test_criterion_07_tuned_lstm_beats_linear_baselines(capsys, deaths):
     with announced(capsys, 7, "tuned LSTM beats ARIMA and AR on held-out data") as d:
         t0 = time.perf_counter()
 
-        def single_entry(name, seed):
-            return [e for e in default_model_grids(seed) if e[0] == name]
-
         def test_mse(name, seed):
-            report = compare_models(single_entry(name, seed), deaths, target="deaths")
-            row = report.rows[0]
-            assert row.error is None, f"{name}: {row.error}"
-            return row.mse_test
+            return _tuned_test_mse(name, seed, deaths, "deaths")
 
         arima_score = test_mse("ARIMA", 0)
         autoreg_score = test_mse("AUTO REG", 0)
@@ -433,3 +436,30 @@ def test_criterion_11_no_test_leakage(capsys, monkeypatch, deaths):
             f"{len(seen)} fitting calls audited, all strict prefixes of the "
             f"{n_train}-row train split; {len(test)} test rows untouched"
         )
+
+
+# ---------------------------------------------------------------- criterion 12
+
+
+@pytest.mark.slow
+def test_criterion_12_seasonal_ann_beats_linear_baselines(capsys, iran):
+    with announced(capsys, 12, "seasonal ANN beats ARIMA and AR on held-out data") as d:
+        t0 = time.perf_counter()
+        scores = {}
+        for target in ("deaths", "confirmed", "recovered"):
+            s = extract_series(iran, target)
+            scores[target] = (
+                statistics.median(_tuned_test_mse("ANN", seed, s, target) for seed in range(10)),
+                _tuned_test_mse("ARIMA", 0, s, target),
+                _tuned_test_mse("AUTO REG", 0, s, target),
+            )
+
+        elapsed = time.perf_counter() - t0
+        d.text = "; ".join(
+            f"{target} ann median {ann:.2e} < arima {arima:.2e} and autoreg {autoreg:.2e}"
+            for target, (ann, arima, autoreg) in scores.items()
+        ) + f" in {elapsed:.0f}s"
+        for target, (ann, arima, autoreg) in scores.items():
+            assert ann < arima, target
+            assert ann < autoreg, target
+        assert elapsed < 180.0

@@ -53,6 +53,17 @@ def test_protocol_contract():
     assert EvalProtocol().test_fraction == 0.2
 
 
+@pytest.mark.parametrize(
+    "field",
+    [{"initial_train": 5}, {"step": 3}, {"horizon": 9}],
+    ids=["initial_train", "step", "horizon"],
+)
+def test_holdout_protocol_refuses_rolling_fields(field):
+    with pytest.raises(ContractError, match="holdout protocol takes no initial_train"):
+        EvalProtocol(**field)
+    EvalProtocol(kind="rolling_origin", **field)
+
+
 def test_holdout_eval_matches_manual_protocol():
     s = wiggly_series()
     spec = ForecasterSpec("autoreg", ArOrder(2), 0)
@@ -192,6 +203,23 @@ def test_report_dict_shape_and_determinism():
     # wall times are the only nondeterministic field, and they stay out of
     # the default document
     assert "wall_time" not in json.dumps(da)
+
+
+def test_rolling_origin_report_names_its_folds():
+    protocol = EvalProtocol(kind="rolling_origin", initial_train=40, step=10, horizon=5)
+    entries = [("AUTO REG", [ForecasterSpec("autoreg", ArOrder(p), 0) for p in (1, 2)])]
+    doc = compare_models(entries, wiggly_series(100), protocol).to_dict()
+    assert doc["protocol"] == {
+        "kind": "rolling_origin",
+        "test_fraction": 0.2,
+        "initial_train": 40,
+        "step": 10,
+        "horizon": 5,
+    }
+    assert doc["protocol_note"] == bt.PROTOCOL_NOTES["rolling_origin"]
+    assert "rolling-origin folds" in doc["protocol_note"]
+    assert "Tashman 2000" in doc["protocol_note"]
+    assert "validation tail" not in doc["protocol_note"]
 
 
 def test_render_table_layout_and_error_cells():

@@ -1,18 +1,24 @@
 """One-hidden-layer network with optional day-of-week one-hot features."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from epiforecast.backtest import MLP_DEFAULT_GRID, expand_grid
+from epiforecast.data import train_test_split
 from epiforecast.errors import ContractError, DivergenceError
 from epiforecast.forecasters import ForecasterSpec, fit, forecast, insample_predictions
 from epiforecast.forecasters.base import MlpConfig
 from epiforecast.forecasters.mlp import MlpParams, _features, _forward, fit_mlp, mlp_gradients
 from epiforecast.forecasters.mlp import _design
+from epiforecast.transform import fit_scaler, scale
 from oracles import (
     mlp_gradcheck_max_rel_err,
     oracle_fit_mlp_params,
     oracle_mlp_forward,
     oracle_mlp_gradients,
+    oracle_mlp_init,
 )
 from support import START, series
 
@@ -172,9 +178,86 @@ def test_gradients_and_predictions_equal_the_two_branch_reference(h, seasonal):
 def test_fit_mlp_equals_the_two_branch_reference_bit_for_bit(h, seasonal):
     s = series(np.sin(np.arange(60.0) / 5.0))
     config = MlpConfig(window=6, hidden_units=h, epochs=300, learning_rate=0.05, seasonal=seasonal)
-    params = fit_mlp(s, config, seed=2).params
+    _assert_fit_equals_the_reference(s, config, seed=2)
+
+
+def _assert_fit_equals_the_reference(s, config, seed):
+    params = fit_mlp(s, config, seed=seed).params
     X, y = _design(s, config)
-    want, want_losses = oracle_fit_mlp_params(X, y, config, seed=2)
+    want, want_losses = oracle_fit_mlp_params(X, y, config, seed=seed)
     for name in ("hidden_w", "hidden_b", "out_w", "out_b"):
         assert _same_bytes(getattr(params, name), getattr(want, name)), name
     assert params.loss_history == want_losses
+
+
+# The shapes the backtest trains: every default-grid candidate (cut to 300
+# epochs), one without a hidden layer and one without the weekday one-hot.
+RUN_SHAPES = [
+    spec.config for spec in expand_grid("mlp", {**MLP_DEFAULT_GRID, "epochs": (300,)}, 0)
+]
+RUN_SHAPES += [
+    MlpConfig(window=14, hidden_units=0, epochs=300, learning_rate=0.05, seasonal=True),
+    MlpConfig(window=14, hidden_units=8, epochs=300, learning_rate=0.1, seasonal=False),
+]
+
+
+def _shape_id(config):
+    kind = "seasonal" if config.seasonal else "plain"
+    return f"h{config.hidden_units}-lr{config.learning_rate}-{kind}"
+
+
+@pytest.fixture(scope="module")
+def deaths_fit_part(deaths):
+    """The scaled fit part of the backtest's deaths training split, the series
+    each default-grid ANN candidate is fitted on (230 rows of 21 features)."""
+    train, _ = train_test_split(deaths, 0.2)
+    fit_part, _ = train_test_split(train, 0.2)
+    return scale(fit_scaler(fit_part), fit_part)
+
+
+def _arrays(params):
+    return [a for a in (params.hidden_w, params.hidden_b, params.out_w) if a is not None]
+
+
+@pytest.mark.parametrize("config", RUN_SHAPES, ids=_shape_id)
+def test_fit_mlp_equals_the_reference_on_the_backtest_shapes(config, deaths_fit_part):
+    _assert_fit_equals_the_reference(deaths_fit_part, config, seed=0)
+
+
+def test_a_second_fit_leaves_the_first_fits_arrays_unchanged(deaths_fit_part):
+    config = RUN_SHAPES[0]
+    first = fit_mlp(deaths_fit_part, config, seed=0).params
+    before = [a.tobytes() for a in _arrays(first)]
+    fit_mlp(deaths_fit_part, config, seed=1)
+    assert [a.tobytes() for a in _arrays(first)] == before
+
+
+@pytest.mark.parametrize("config", RUN_SHAPES[:1] + RUN_SHAPES[-2:], ids=_shape_id)
+def test_no_two_fitted_arrays_share_memory(config, deaths_fit_part):
+    arrays = _arrays(fit_mlp(deaths_fit_part, config, seed=0).params)
+    for a, b in itertools.combinations(arrays, 2):
+        assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("config", RUN_SHAPES[:1] + RUN_SHAPES[-2:], ids=_shape_id)
+def test_no_two_gradient_arrays_share_memory(config, deaths_fit_part):
+    X, y = _design(deaths_fit_part, config)
+    params = oracle_mlp_init(config.hidden_units, X.shape[1], seed=0)
+    grads, preds = mlp_gradients(params, X, y)
+    returned = _arrays(grads) + [preds]
+    for a, b in itertools.combinations(returned, 2):
+        assert not np.shares_memory(a, b)
+    for a, b in itertools.product(returned, _arrays(params) + [X, y]):
+        assert not np.shares_memory(a, b)
+
+
+def test_divergence_is_raised_at_the_references_first_non_finite_epoch(deaths_fit_part):
+    config = MlpConfig(window=14, hidden_units=8, epochs=300, learning_rate=5.0, seasonal=True)
+    X, y = _design(deaths_fit_part, config)
+    with np.errstate(all="ignore"):
+        _, losses = oracle_fit_mlp_params(X, y, config, seed=0)
+    # losses[k] is the loss before epoch k's update, for k = 1..epochs
+    k = next(k for k, value in enumerate(losses) if not np.isfinite(value))
+    assert 1 < k <= config.epochs
+    with pytest.raises(DivergenceError, match=f"diverged at epoch {k}$"):
+        fit_mlp(deaths_fit_part, config, seed=0)
