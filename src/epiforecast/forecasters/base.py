@@ -197,7 +197,9 @@ def descend(name: str, params: Any, epochs: int, loss: Callable, epoch: Callable
 def recursive_forecast(tail: Any, h: int, step: Callable[[list, int], float]) -> np.ndarray:
     """Recursive multi-step forecast: step(window, k) predicts step k from the
     window, which then drops its oldest value and appends the prediction. An
-    empty window stays empty."""
+    empty window stays empty. The feedback loop of AutoReg, ARIMA and the ANN;
+    lstm.forecast_lstm runs the same recursion as a wavefront over the open
+    windows, so that its cell steps share one product per layer and day."""
     window = list(tail)
     out = np.empty(h, dtype=np.float64)
     for k in range(h):

@@ -1,16 +1,21 @@
 """Two-layer LSTM built on numpy: cell mechanics, exact gradients, training."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from epiforecast.backtest import fit_normalized
+from epiforecast.data import train_test_split
 from epiforecast.errors import ContractError, DivergenceError
 from epiforecast.forecasters import ForecasterSpec, fit, forecast, insample_predictions
-from epiforecast.forecasters.base import LstmConfig
+from epiforecast.forecasters.base import FittedModel, LstmConfig
 from epiforecast.forecasters.lstm import (
     LstmLayerParams,
     LstmParameters,
     _backward_batch,
     _forward_batch,
+    forecast_lstm,
     init_lstm_parameters,
     lstm_backward,
     lstm_cell_step,
@@ -19,6 +24,7 @@ from epiforecast.forecasters.lstm import (
 )
 from oracles import (
     lstm_gradcheck_max_rel_err,
+    oracle_forecast_lstm,
     oracle_lstm_backward_batch,
     oracle_lstm_forward_batch,
     oracle_train_lstm_params,
@@ -318,3 +324,123 @@ def test_training_is_bit_identical_to_oracle_driven_loop(units, window, batch_si
         assert_same_bytes(got.b, want.b)
     assert_same_bytes(model.params.head_w, want_params.head_w)
     assert model.params.head_b == want_params.head_b
+
+
+def scaled(params, factor):
+    """params with every layer's W and b and the head weights times factor."""
+    return LstmParameters(
+        tuple(LstmLayerParams(lp.W * factor, lp.b * factor) for lp in params.layers),
+        params.head_w * factor,
+        params.head_b,
+    )
+
+
+def lstm_model(params, window, tail):
+    config = LstmConfig(
+        num_units=params.head_w.size,
+        window=window,
+        epochs=1,
+        learning_rate=0.1,
+        layers=len(params.layers),
+    )
+    return FittedModel(ForecasterSpec("lstm", config), params, train_tail=tail)
+
+
+def assert_forecasts_match_the_window_loop(model, horizons):
+    # a recursive forecast's first k values do not depend on the horizon, so
+    # one run of the old loop at the longest horizon serves every horizon
+    want = oracle_forecast_lstm(model, max(horizons))
+    for h in horizons:
+        assert_same_bytes(forecast_lstm(model, h), want[:h])
+
+
+@pytest.mark.parametrize("window", (1, 2, 14, 20))
+@pytest.mark.parametrize("units", (1, 2, 16, 32))
+@pytest.mark.parametrize("layers", (1, 2, 3))
+def test_wavefront_forecast_is_bit_identical_to_the_window_loop(layers, units, window):
+    rng = np.random.default_rng([layers, units, window])
+    config = LstmConfig(num_units=units, window=window, epochs=1, learning_rate=0.1, layers=layers)
+    params = init_lstm_parameters(config, rng)
+    tail = rng.uniform(-1.0, 1.0, window)
+    # at h = 2w + 1 the window opened on day 2w finds every state row used,
+    # so the open windows' rows slide back to the front
+    horizons = sorted({1, window - 1, window, window + 1, 2 * window + 1, 180})
+    # factors 5 and 20 drive the gates and the cell state into saturation
+    for factor in (1.0, 5.0, 20.0):
+        model = lstm_model(scaled(params, factor), window, tail)
+        assert_forecasts_match_the_window_loop(model, horizons)
+
+
+def test_wavefront_forecast_of_a_diverging_model_is_bit_identical():
+    config = LstmConfig(num_units=16, window=14, epochs=1, learning_rate=0.1, layers=2)
+    params = init_lstm_parameters(config, np.random.default_rng(3))
+    # head_w x 1e308 feeds back predictions near 1e306, which saturate every
+    # gate; an infinite or NaN head bias makes every prediction non-finite
+    for head_b, finite in ((params.head_b, True), (np.inf, False), (np.nan, False)):
+        diverging = LstmParameters(params.layers, params.head_w * 1e308, head_b)
+        model = lstm_model(diverging, 14, np.linspace(0.0, 1.0, 14))
+        with np.errstate(all="ignore"):
+            assert_forecasts_match_the_window_loop(model, (1, 14, 15, 29, 180))
+            values = forecast_lstm(model, 180)
+        assert np.all(np.isfinite(values)) == finite
+        assert not finite or np.max(np.abs(values)) > 1e305
+
+
+def test_wavefront_forecast_differs_from_the_window_loop_at_most_in_nan_signs():
+    # with zero input weights on the forget and candidate rows, an infinite
+    # input gives 0 * inf = -nan there, and the sigmoid's negation flips it,
+    # so NaNs of both signs meet in o * tanh(c). NumPy's vector loops return
+    # the first operand's NaN in whole 8-lane blocks and the second's in the
+    # tail after them, so which sign survives depends on the element's place
+    # in the array, and the wavefront stacks windows into longer arrays
+    config = LstmConfig(num_units=3, window=4, epochs=1, learning_rate=0.1, layers=2)
+    params = init_lstm_parameters(config, np.random.default_rng(3))
+    W = params.layers[0].W.copy()
+    W[3:6, 0] = W[9:, 0] = 0.0
+    layers = (LstmLayerParams(W, params.layers[0].b),) + params.layers[1:]
+    model = lstm_model(LstmParameters(layers, params.head_w, np.inf), 4, np.linspace(0.0, 1.0, 4))
+    with np.errstate(all="ignore"):
+        got, want = forecast_lstm(model, 40), oracle_forecast_lstm(model, 40)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan) and nan.sum() == 39
+    assert_same_bytes(got[~nan], want[~nan])
+
+
+def test_wavefront_forecast_of_a_trained_deaths_model_is_bit_identical(deaths):
+    train, _ = train_test_split(deaths, 0.2)
+    config = LstmConfig(num_units=16, window=14, epochs=20, learning_rate=0.1, batch_size=32)
+    model = fit_normalized(ForecasterSpec("lstm", config, 0), train)
+    assert_forecasts_match_the_window_loop(model, (1, 13, 14, 15, 29, 180))
+
+
+def test_forecast_reads_a_tail_shorter_than_the_window_as_the_old_loop_did():
+    config = LstmConfig(num_units=4, window=14, epochs=1, learning_rate=0.1, layers=2)
+    params = scaled(init_lstm_parameters(config, np.random.default_rng(8)), 5.0)
+    for n in (1, 5, 13):
+        model = lstm_model(params, 14, np.linspace(-0.5, 0.5, n))
+        assert_forecasts_match_the_window_loop(model, (1, n, n + 1, 2 * n + 1, 40))
+
+
+def test_forecast_from_an_empty_tail_is_refused_as_by_the_old_loop():
+    config = LstmConfig(num_units=3, window=4, epochs=1, learning_rate=0.1)
+    model = lstm_model(init_lstm_parameters(config, np.random.default_rng(0)), 4, [])
+    for run in (forecast_lstm, oracle_forecast_lstm):
+        with pytest.raises(ContractError, match="^window must be a non-empty vector$"):
+            run(model, 3)
+
+
+def test_forecast_state_does_not_grow_with_the_horizon():
+    config = LstmConfig(num_units=2, window=3, epochs=1, learning_rate=0.1, layers=2)
+    model = lstm_model(init_lstm_parameters(config, np.random.default_rng(0)), 3, [0.1, 0.2, 0.3])
+    forecast_lstm(model, 400)  # first-call allocations are not the forecast's state
+
+    def peak_beyond_the_output(h):
+        tracemalloc.start()
+        try:
+            out = forecast_lstm(model, h)
+            return tracemalloc.get_traced_memory()[1] - out.nbytes
+        finally:
+            tracemalloc.stop()
+
+    # state kept per forecast day would add at least 8 bytes a day, 9,600 here
+    assert peak_beyond_the_output(1600) <= peak_beyond_the_output(400) + 1024
