@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import functools
 import json
 import logging
 import sys
@@ -89,6 +90,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # built once per process: every parse_args starts from a fresh namespace
 def _build_parser() -> _Parser:
     parser = _Parser(prog="epiforecast", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -310,7 +312,9 @@ def cmd_forecast(args) -> None:
 def cmd_backtest(args) -> None:
     run = _Run(args)
     s = extract_series(run.dataset(), run.config["target"])
-    kinds = [k.strip() for k in args.models.split(",")] if args.models else list(KINDS)
+    kinds = list(KINDS) if args.models is None else [k.strip() for k in args.models.split(",")]
+    if "" in kinds:
+        raise UsageError(f"a kind name in --models {args.models!r} is empty")
     unknown = [k for k in kinds if k not in KINDS]
     if unknown:
         raise UsageError(f"unknown model kinds: {', '.join(unknown)}")

@@ -40,24 +40,30 @@ so none of them is done here.
 Forecast layout. The forecast of day k runs the window of input days k to
 k + w - 1 through the layers, and its prediction is input day w + k. Run one
 window at a time at batch 1, that is h * w cell steps per layer.
-forecast_lstm runs them as a wavefront: on input day t every window still
-open (at most w) takes its next cell step, per layer as one stacked
-(B, 1, d + u) @ W.T product and one column per window through the
-elementwise ops of _forward_batch, in their operand order. The window that
-has just read its last value goes through the head, and its prediction is
-input day t + 1. A 180-day forecast at window 14 takes 193 stacked steps per
-layer instead of 2,520 single ones. Per layer the state holds 2w rows; the
-open windows are a contiguous run of them, slid back to the front when the
-run reaches the end, so the state does not grow with the horizon.
+forecast_lstm runs them as a wavefront on a ring of n = min(w, h) window
+slots: window k lives in slot k mod n, and no two windows of one slot are
+open together. On each input day every slot takes its cell step, per layer
+as one stacked (n, 1, d + u) @ W.T product and the elementwise ops of
+_forward_batch in their operand order, all written into per-layer buffers
+through views built once before the day loop. The day a window opens, its
+slot's h and c are zeroed; the day it closes, its h goes through the head,
+and its prediction is input day t + 1. A 180-day forecast at window 14 takes
+193 stacked steps per layer instead of 2,520 single ones, and the state does
+not grow with the horizon. An idle slot steps too: before its first window
+it repeats window 0's steps, after its last one it carries on from that
+window's bounded state (|h| <= 1) on the inputs the open windows read.
 
 It reproduces the window-at-a-time loop (kept in the test suite as an
 oracle) bit for bit, because:
   * NumPy's matmul gufunc makes the same M = 1 BLAS call (gemv) for every
     (1, d + u) slice of a stacked 3-D product, with the operands and strides
-    of the single window's product. A 2-D (B, d + u) product is one gemm,
+    of the single window's product. A 2-D (n, d + u) product is one gemm,
     whose rows differ from the same row computed alone: with OpenBLAS on an
     Intel Xeon, 42,058 of 42,160 rows of the 2-D product differed and 0 of
     the stacked one (2 to 33 inputs, 8 to 128 outputs, batch 2 to 32);
+  * an elementwise op gives each element the value it gives it in any other
+    layout or buffer, so the (n, u) slot-major buffers reproduce the (u, 1)
+    columns of the window loop;
   * the head reads the finished window's h as a (1, u) view with the
     strides _forward_batch gives h_last at batch 1, copied when w = 1.
 The one exception is the sign of a NaN. Where NaNs of both signs meet in a
@@ -328,53 +334,53 @@ def train_lstm(train: Series, config: LstmConfig, seed: int = 0) -> FittedModel:
 
 
 def forecast_lstm(model: FittedModel, h: int) -> np.ndarray:
-    """Recursive multi-step forecast: each prediction is appended to the
-    window. Run as a wavefront over the open windows (see the module
-    docstring's forecast layout)."""
+    """Recursive multi-step forecast, each prediction appended to the window,
+    run as a wavefront on a ring of window slots (module docstring)."""
     params = model.params
     tail = model.train_tail[-model.spec.config.window :]
     w = tail.size
+    n = min(w, h)  # window slots; the window of forecast k lives in slot k % n
     out = np.empty(h, dtype=np.float64)
     if h and not w:
         raise ContractError("window must be a non-empty vector")
-    # per layer: the step inputs [x, h_prev] (rows, 1, d + u) and the cell
-    # states (u, rows) of the open windows, which are rows lo:hi
-    rows = 2 * w
-    state = [
-        (lp, np.empty((rows, 1, lp.W.shape[1])), np.empty((lp.units, rows)))
-        for lp in params.layers
-    ]
-    lo = hi = 0
-    for day in range(h + w - 1):
-        if day < h:  # the window of forecast `day` opens
-            if hi == rows:
-                for _, Z, C in state:
-                    Z[: hi - lo] = Z[lo:hi]
-                    C[:, : hi - lo] = C[:, lo:hi]
-                lo, hi = 0, hi - lo
-            for lp, Z, C in state:
-                Z[hi, :, lp.input_dim :] = 0.0
-                C[:, hi] = 0.0
-            hi += 1
+    # per layer, with every view the day loop reads or writes: the step inputs
+    # Z = [x, h_prev] (n, 1, d + u), the products A, the sigmoid rows S, the
+    # candidates G, the cell states C and a scratch T. Per slot: its h and c
+    layers, resets = [], [[] for _ in range(n)]
+    for lp in params.layers:
+        u, d = lp.units, lp.input_dim
+        Z, A, C = np.zeros((n, 1, d + u)), np.empty((n, 1, 4 * u)), np.zeros((n, u))
+        S, G, T = np.empty((n, 3 * u)), np.empty((n, u)), np.empty((n, u))
+        layers.append((
+            Z, Z[:, 0, :d], Z[:, 0, d:], lp.W.T, lp.b, A, A[:, 0, : 3 * u], A[:, 0, 3 * u :],
+            S, S[:, :u], S[:, u : 2 * u], S[:, 2 * u :], G, C, T,
+        ))
+        for k in range(n):
+            resets[k] += (Z[k, 0, d:], C[k])
+    heads = [Z[k, :, d:] for k in range(n)]  # the top layer's h as (1, u) views
+    for day in range(h + w - 1 if h else 0):
+        if day < h:  # the window of forecast `day` opens in its slot
+            for state in resets[day % n]:
+                state.fill(0.0)
         below = tail[day] if day < w else out[day - w]
-        for lp, Z, C in state:
-            u = lp.units
-            d = lp.input_dim
-            Z[lo:hi, :, :d] = below
-            a = np.matmul(Z[lo:hi], lp.W.T) + lp.b
-            aT = a[:, 0].T.copy()
-            s = _sigmoid(aT[: 3 * u])
-            g = np.tanh(aT[3 * u :])
-            i, f, o = s[:u], s[u : 2 * u], s[2 * u :]
-            c_new = f * C[:, lo:hi] + i * g
-            tanh_c = np.tanh(c_new)
-            C[:, lo:hi] = c_new
-            Z[lo:hi, 0, d:] = (o * tanh_c).T
-            below = Z[lo:hi, :, d:]
+        for Z, Zx, Zh, Wt, b, A, As, Ag, S, i, f, o, G, C, T in layers:
+            Zx[...] = below
+            np.matmul(Z, Wt, out=A)
+            np.add(A, b, out=A)
+            np.negative(As, out=S)  # S = 1.0 / (1.0 + exp(-a))
+            np.exp(S, out=S)
+            np.add(1.0, S, out=S)
+            np.divide(1.0, S, out=S)
+            np.tanh(Ag, out=G)
+            np.multiply(f, C, out=C)  # c = f * c + i * g
+            np.multiply(i, G, out=T)
+            np.add(C, T, out=C)
+            np.tanh(C, out=T)
+            np.multiply(o, T, out=Zh)  # h = o * tanh(c)
+            below = Zh
         if day >= w - 1:  # the window of forecast day - w + 1 has read its last value
-            h_last = below[0] if w > 1 else below[0].copy()
+            h_last = heads[(day - w + 1) % n] if w > 1 else heads[0].copy()
             out[day - w + 1] = (h_last @ params.head_w + params.head_b)[0]
-            lo += 1
     return out
 
 

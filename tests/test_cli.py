@@ -262,6 +262,62 @@ def test_backtest_unknown_model_kind_is_usage_error(tmp_path, capsys):
     assert "unknown model kinds: oracle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("models", ("", "lstm,", " , "))
+def test_backtest_empty_model_kind_is_usage_error(tmp_path, capsys, monkeypatch, models):
+    def refuse(*args, **kwargs):
+        raise AssertionError("compare_models was called")
+
+    monkeypatch.setattr(cli, "compare_models", refuse)
+    data = make_csv(tmp_path / "data.csv")
+    out = tmp_path / "bt"
+    assert main(["backtest", "--input", str(data), "--models", models, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: a kind name in --models {models!r} is empty\n"
+    assert not out.exists()
+
+
+def test_the_parser_is_built_once_per_process():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def _forecast_outputs(out):
+    sidecar = json.loads((out / "forecast.csv.meta.json").read_text())
+    config = {k: v for k, v in sidecar["effective_config"].items() if k != "out"}
+    return (out / "forecast.csv").read_bytes(), config
+
+
+def test_consecutive_forecasts_in_one_process_write_what_each_writes_alone(tmp_path, capsys):
+    _, deaths = fitted_model_file(tmp_path, capsys, target="deaths")
+    _, recovered = fitted_model_file(tmp_path, capsys, target="recovered")
+    calls = {
+        "deaths": ["forecast", "--model-file", str(deaths), "--horizon", "7"],
+        "recovered": ["forecast", "--model-file", str(recovered), "--horizon", "12"],
+    }
+    for name, args in calls.items():  # one parser serves both calls
+        assert main(args + ["--out", str(tmp_path / "together" / name)]) == 0
+    for name, args in calls.items():  # each call on a parser of its own
+        cli._build_parser.cache_clear()
+        assert main(args + ["--out", str(tmp_path / "alone" / name)]) == 0
+    capsys.readouterr()
+    for name, args in calls.items():
+        together = _forecast_outputs(tmp_path / "together" / name)
+        assert together == _forecast_outputs(tmp_path / "alone" / name)
+        rows = together[0].decode().splitlines()[1:]
+        assert len(rows) == int(args[-1]) and {row.split(",")[1] for row in rows} == {name}
+        assert together[1]["model_files"] == [args[2]]
+
+
+def test_a_usage_error_after_a_successful_call_is_reported_as_on_a_new_parser(tmp_path, capsys):
+    _, model_path = fitted_model_file(tmp_path, capsys)
+    bad = ["forecast", "--model-file", str(model_path), "--horizon", "x"]
+    cli._build_parser.cache_clear()
+    assert main(bad) == 1
+    alone = capsys.readouterr().err
+    assert main(bad[:-1] + ["3", "--out", str(tmp_path / "fc")]) == 0
+    capsys.readouterr()
+    assert main(bad) == 1
+    assert capsys.readouterr().err == alone == "error: argument --horizon: invalid int value: 'x'\n"
+
+
 def test_backtest_total_failure_is_model_error(tmp_path, capsys):
     data = make_csv(tmp_path / "data.csv", n=12)
     grid = write_grid(tmp_path / "grid.ini", "[autoreg]\np = 300\n")

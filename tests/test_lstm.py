@@ -1,6 +1,7 @@
 """Two-layer LSTM built on numpy: cell mechanics, exact gradients, training."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -371,6 +372,29 @@ def test_wavefront_forecast_is_bit_identical_to_the_window_loop(layers, units, w
         assert_forecasts_match_the_window_loop(model, horizons)
 
 
+@pytest.mark.parametrize("window", (1, 2, 14, 20))
+@pytest.mark.parametrize("units", (1, 2, 16, 32))
+@pytest.mark.parametrize("layers", (1, 2, 3))
+def test_ring_forecast_warns_only_where_the_window_loop_does(layers, units, window):
+    # a slot that holds no open window still steps: before its first window
+    # opens, and after its last one closes, on that window's stale state.
+    # Those idle steps must raise no floating-point warning the loop does not
+    rng = np.random.default_rng([layers, units, window])
+    config = LstmConfig(num_units=units, window=window, epochs=1, learning_rate=0.1, layers=layers)
+    params = init_lstm_parameters(config, rng)
+    tail = rng.uniform(-1.0, 1.0, window)
+    for factor in (1.0, 5.0, 20.0):
+        model = lstm_model(scaled(params, factor), window, tail)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                oracle_forecast_lstm(model, 180)
+            except RuntimeWarning:
+                continue  # a warning here is the model's, not the ring's
+            for h in sorted({1, window - 1, window, window + 1, 2 * window + 1, 180}):
+                forecast_lstm(model, h)
+
+
 def test_wavefront_forecast_of_a_diverging_model_is_bit_identical():
     config = LstmConfig(num_units=16, window=14, epochs=1, learning_rate=0.1, layers=2)
     params = init_lstm_parameters(config, np.random.default_rng(3))
@@ -410,7 +434,9 @@ def test_wavefront_forecast_of_a_trained_deaths_model_is_bit_identical(deaths):
     train, _ = train_test_split(deaths, 0.2)
     config = LstmConfig(num_units=16, window=14, epochs=20, learning_rate=0.1, batch_size=32)
     model = fit_normalized(ForecasterSpec("lstm", config, 0), train)
-    assert_forecasts_match_the_window_loop(model, (1, 13, 14, 15, 29, 180))
+    # horizons 1-15 take every ring size below the window, the full ring and
+    # the first reused slot
+    assert_forecasts_match_the_window_loop(model, (*range(1, 16), 29, 180))
 
 
 def test_forecast_reads_a_tail_shorter_than_the_window_as_the_old_loop_did():
