@@ -15,11 +15,12 @@ import contextlib
 import functools
 import json
 import logging
+import math
 import sys
 import time
 from collections.abc import Callable
 from dataclasses import MISSING, asdict, fields, replace
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import get_type_hints
 
@@ -291,11 +292,12 @@ def cmd_forecast(args) -> None:
         if (date.max - model.train_end_date).days < horizon:
             raise UsageError(f"--horizon {horizon} ends after {date.max} for {model_path}")
         with np.errstate(over="ignore", invalid="ignore"):  # a diverging model is refused below
-            values = model.scaler.inverse(forecast(model, horizon))
-        days = [(model.train_end_date + timedelta(days=k + 1)).isoformat() for k in range(horizon)]
-        if not np.isfinite(values).all():
-            first = days[np.isfinite(values).argmin()]
-            raise DivergenceError(f"model file {model_path}: non-finite forecast on {first}")
+            values = model.scaler.inverse(forecast(model, horizon)).tolist()
+        start = np.datetime64(model.train_end_date, "D")
+        days = np.datetime_as_string(start + np.arange(1, horizon + 1)).tolist()
+        diverged = [day for day, value in zip(days, values) if not math.isfinite(value)]
+        if diverged:
+            raise DivergenceError(f"model file {model_path}: non-finite forecast on {diverged[0]}")
         floored = [day for day, value in zip(days, values) if value < 0.0]
         if floored:
             logger.warning(
@@ -303,8 +305,8 @@ def cmd_forecast(args) -> None:
                 len(floored), model.target, model_path, floored[0],
             )
         label = LABELS[model.spec.kind]
-        for day, value in zip(days, values):
-            rows.append((day, model.target, label, 0.0 if value < 0.0 else float(value)))
+        # -0.0 is not floored, so it is written as -0.000000
+        rows += [(day, model.target, label, 0.0 if v < 0.0 else v) for day, v in zip(days, values)]
     path = run.write("forecast.csv", lambda p: write_output(p, csv_text(FORECAST_HEADER, rows)))
     print(f"wrote {path} ({len(rows)} rows)")
 

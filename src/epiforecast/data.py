@@ -231,13 +231,20 @@ def parse_csv(text: str, *, allow_corrections: bool = False) -> EpidemicDataset:
 
 
 def csv_text(header, rows) -> str:
-    """The text of a CSV output: csv.writer's default dialect, so CRLF line
-    ends. The last cell of each row is its value, written as f"{v:.6f}"."""
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(header)
-    writer.writerows((*row[:-1], f"{row[-1]:.6f}") for row in rows)
-    return text.getvalue()
+    """The text of a CSV output as csv.writer's default dialect writes it, CRLF
+    line ends included: one join of "%s,...,%.6f\\r\\n" lines, the last cell of a
+    row tuple being its value ("%.6f" prints the digits of f"{v:.6f}"). No cell
+    is quoted, and none needs to be: dates, TARGETS, the CLI's labels,
+    "observed" and the headers hold no comma, quote or line break, the only
+    characters csv.writer quotes for. A cell that holds one is refused with
+    ContractError, found by counting those characters in the finished text."""
+    line = "%s," * (len(header) - 1) + "%.6f\r\n"
+    text = ",".join(header) + "\r\n" + "".join([line % row for row in rows])
+    lines = len(rows) + 1
+    counts = (text.count(","), text.count("\r"), text.count("\n"), text.count('"'))
+    if counts != ((len(header) - 1) * lines, lines, lines, 0):
+        raise ContractError("a CSV cell holds a comma, quote or line break; it would need quoting")
+    return text
 
 
 def read_forecast_csv(text: str, path, labels) -> list[tuple[str, str, str, float]]:

@@ -275,15 +275,16 @@ def forecast_arima(model: FittedModel, h: int) -> np.ndarray:
     p, d, q = order.p, order.d, order.q
     tail = model.train_tail
     z_tail, _ = difference_values(tail, d)
-    resid = params.resid_tail  # q entries: check_arima_params and fit_arima hold it
+    # Python floats (see ar_sum); resid has q entries: check_arima_params and fit_arima hold it
+    phi, theta, resid = params.phi.tolist(), params.theta.tolist(), params.resid_tail.tolist()
 
     def step(z: list, k: int) -> float:
-        acc = ar_sum(params.c, params.phi, z)
+        acc = ar_sum(params.c, phi, z)
         for j in range(k + 1, q + 1):  # MA lags that still reach the training residuals
-            acc += params.theta[j - 1] * resid[k - j]
+            acc += theta[j - 1] * resid[k - j]
         return acc
 
-    diffs = recursive_forecast(z_tail[-p:] if p else [], h, step)
+    diffs = recursive_forecast(z_tail[-p:].tolist() if p else [], h, step)
     return integrate_forecast(diffs, tail, d)
 
 

@@ -45,18 +45,25 @@ def check_ar_params(params: ArParams, order: ArOrder) -> None:
     check_shape("phi", params.phi, (order.p,), f"AR({order.p})")
 
 
-def ar_sum(c: float, phi: np.ndarray, z) -> float:
-    """c + sum_i phi[i-1] * z[-i], added in lag order i = 1..p."""
+def ar_sum(c: float, phi, z) -> float:
+    """c + sum_i phi[i-1] * z[-i], added in lag order i = 1..len(phi).
+
+    The forecasts pass lists of Python floats, far cheaper to add than NumPy
+    scalars; the oracles pass arrays. The bits are the same: both are IEEE
+    doubles, each * and + rounds once, and both overflow to inf and make NaN
+    of inf - inf without raising. Only which of two NaNs a sum passes on (a
+    NaN's sign) may differ; no output holds one, as non-finite forecasts are refused."""
     acc = c
-    for i in range(1, phi.size + 1):
+    for i in range(1, len(phi) + 1):
         acc += phi[i - 1] * z[-i]
     return acc
 
 
 def forecast_autoreg(model: FittedModel, h: int) -> np.ndarray:
     params: ArParams = model.params
-    tail = model.train_tail[-params.phi.size :]
-    return recursive_forecast(tail, h, lambda z, k: ar_sum(params.c, params.phi, z))
+    phi = params.phi.tolist()
+    tail = model.train_tail[-len(phi) :].tolist()
+    return recursive_forecast(tail, h, lambda z, k: ar_sum(params.c, phi, z))
 
 
 def insample_autoreg(model: FittedModel, train: Series) -> tuple[np.ndarray, np.ndarray]:

@@ -11,6 +11,7 @@ from epiforecast.forecasters.additive import (
     training_changepoints,
 )
 from epiforecast.forecasters.base import AdditiveConfig
+from epiforecast.transform import fit_scaler, scale
 from support import series
 
 
@@ -113,3 +114,17 @@ def test_forecast_contract():
     model = fit_additive(series(np.arange(30.0)), AdditiveConfig(n_changepoints=0, fourier_order=0))
     with pytest.raises(ContractError):
         forecast(model, 0)
+
+
+@pytest.mark.parametrize("n_changepoints, fourier_order", [(0, 0), (5, 3), (10, 3), (20, 1)])
+def test_each_forecast_is_the_first_rows_of_a_longer_one_bit_for_bit(
+    deaths, n_changepoints, fourier_order
+):
+    # As the recursive forecasts are. When X @ beta had h rows, the last h mod 4
+    # came from BLAS's part-block path and differed in the last bit for most h
+    train = scale(fit_scaler(deaths), deaths)
+    config = AdditiveConfig(n_changepoints=n_changepoints, fourier_order=fourier_order)
+    model = fit(ForecasterSpec("additive", config), train)
+    full = forecast(model, 180)
+    for h in range(1, 180):
+        assert forecast(model, h).tobytes() == full[:h].tobytes(), h

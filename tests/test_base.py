@@ -5,6 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epiforecast.errors import ContractError, DivergenceError
 from epiforecast.forecasters import (
@@ -21,11 +23,14 @@ from epiforecast.forecasters.base import (
     AdditiveConfig,
     ArimaOrder,
     ArOrder,
+    FittedModel,
     ForecasterSpec,
     LstmConfig,
     MlpConfig,
     descend,
 )
+from epiforecast.forecasters.arima import ArimaParams
+from epiforecast.forecasters.autoreg import ArParams
 from oracles import (
     oracle_forecast_arima,
     oracle_forecast_autoreg,
@@ -76,6 +81,53 @@ def test_recursive_forecasts_match_the_old_feedback_loops(spec):
     model = fit(spec, train_series())
     for h in (1, 7, 180):
         assert np.array_equal(forecast(model, h), ORACLES[spec.kind](model, h))
+
+
+# Coefficients and values that keep the loops finite, and ones that overflow
+# them to +-inf or turn them to NaN (inf - inf, 0 * inf) within a few steps
+LOOP_FLOATS = st.one_of(
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.sampled_from([-0.0, 1e200, -1e300, float("inf"), float("-inf"), float("nan")]),
+)
+
+
+@st.composite
+def linear_models(draw):
+    """An AutoReg or ARIMA model with random coefficients, residuals and tail."""
+    floats = lambda n: np.array(draw(st.lists(LOOP_FLOATS, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        config = ArOrder(draw(st.integers(1, 14)))
+        params = ArParams(c=draw(LOOP_FLOATS), phi=floats(config.p))
+    else:
+        p, d = draw(st.integers(0, 14)), draw(st.integers(0, 1))
+        config = ArimaOrder(p, d, draw(st.integers(0 if p + d else 1, 2)))  # not (0, 0, 0)
+        params = ArimaParams(
+            c=draw(LOOP_FLOATS), phi=floats(config.p), theta=floats(config.q),
+            resid_tail=floats(config.q),
+        )
+    spec = ForecasterSpec("autoreg" if isinstance(config, ArOrder) else "arima", config)
+    return FittedModel(spec, params, train_tail=floats(FAMILIES[spec.kind].tail_length(config)))
+
+
+def nan_as_one(values: np.ndarray) -> bytes:
+    """The bytes of values with every NaN as the one NaN np.nan.
+
+    Where two NaNs of opposite sign meet in a sum or product, which one comes
+    out depends on the operand order the machine code happens to use: NumPy
+    scalars, np.cumsum and CPython's float ops differ, and CPython 3.11's
+    specialized float add and multiply differ from their first calls. No output
+    can carry a NaN's sign, since the CLI refuses a non-finite forecast and the
+    metrics a non-finite value, so NaNs are compared by position."""
+    return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(model=linear_models(), h=st.integers(1, 40))
+def test_linear_feedback_loops_over_python_floats_keep_the_old_bytes(model, h):
+    # bytes, not array_equal, so that -0.0 and the NaN positions count too
+    with np.errstate(all="ignore"):  # the oracles' scalars and np.diff warn on overflow
+        expected, got = ORACLES[model.spec.kind](model, h), forecast(model, h)
+    assert nan_as_one(got) == nan_as_one(expected)
 
 
 @pytest.mark.parametrize(

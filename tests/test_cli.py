@@ -3,6 +3,7 @@
 import csv
 import json
 import logging
+import sys
 import tempfile
 import warnings
 from dataclasses import replace
@@ -1312,3 +1313,95 @@ def test_grid_files_expand_as_before(text, seed):
     event("refused" if isinstance(new, str) else "expanded")
     event("with [arima]" if "[arima]" in text else "without [arima]")
     assert new == old
+
+
+# --- one process serving every kind ---------------------------------------------------
+
+SERVE_GRID = """\
+[additive]
+n_changepoints = 4
+
+[autoreg]
+p = 7
+
+[arima]
+p_max = 1
+q_max = 1
+
+[lstm]
+num_units = 3
+window = 5
+epochs = 2
+learning_rate = 0.1
+
+[mlp]
+window = 7
+hidden_units = 4
+epochs = 20
+learning_rate = 0.1
+seasonal = true
+"""
+
+
+def assert_valid_forecast(text: bytes, horizon: int, target: str, label: str, end: date):
+    """The checks the benchmark makes of a model's reference forecast: header,
+    row count, the contiguous days after the data, one target and label, and
+    finite values >= 0."""
+    header, *rows = csv.reader(text.decode().splitlines())
+    assert header == ["date", "target", "model", "point_forecast"]
+    assert [row[0] for row in rows] == [
+        (end + timedelta(days=k + 1)).isoformat() for k in range(horizon)
+    ]
+    assert {(row[1], row[2]) for row in rows} == {(target, label)}
+    assert all(np.isfinite(float(row[3])) and float(row[3]) >= 0.0 for row in rows)
+
+
+def module_state() -> dict:
+    """The size of every mutable container and function cache that a module of
+    the package holds: what one call could leave behind for the next."""
+    state = {}
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "epiforecast":
+            continue
+        for attr, value in vars(module).items():
+            if attr.startswith("__"):
+                continue
+            if isinstance(value, (dict, list, set)):
+                state[name, attr] = len(value)
+            elif hasattr(value, "cache_info"):
+                state[name, attr] = value.cache_info().currsize
+    return state
+
+
+def test_one_process_serves_every_kind_as_prefixes_of_its_reference(
+    tmp_path, capsys, iran_path, deaths
+):
+    """The benchmark's serving loop in small: fit one model of each kind, write
+    each one's 180-day reference, then serve shuffled requests of random
+    horizons from one process. A request's CSV is its reference's first rows,
+    whatever ran before it, and no call leaves state at module level."""
+    grid = write_grid(tmp_path / "grid.ini", SERVE_GRID)
+    models = tmp_path / "models"
+    data = ["--input", str(iran_path), "--target", "deaths", "--grid", str(grid)]
+    reference = {}
+    for kind in KINDS:
+        assert main(["fit", *data, "--model", kind, "--out", str(models)]) == 0
+        path = models / f"model_deaths_{kind}.json"
+        out = tmp_path / "reference" / kind
+        assert main(["forecast", "--model-file", str(path), "--out", str(out)]) == 0
+        text = (out / "forecast.csv").read_bytes()
+        assert_valid_forecast(text, 180, "deaths", cli.LABELS[kind], deaths.end_date)
+        reference[path] = text.splitlines(keepends=True)
+    rng = np.random.default_rng(22)
+    out = tmp_path / "served"
+    state = module_state()  # a cache keyed by id() is found here, not only when an id recurs
+    for _ in range(6):
+        for i in rng.permutation(len(KINDS)):
+            path = models / f"model_deaths_{KINDS[i]}.json"
+            for horizon in rng.integers(1, 181, size=2).tolist():  # the same model twice running
+                argv = ["forecast", "--model-file", str(path), "--horizon", str(horizon)]
+                assert main([*argv, "--out", str(out)]) == 0
+                served = (out / "forecast.csv").read_bytes()
+                assert served == b"".join(reference[path][: horizon + 1])
+    assert module_state() == state
+    capsys.readouterr()

@@ -178,6 +178,45 @@ def test_csv_text_is_byte_equal_to_the_old_csv_builders(values, as_numpy):
     )
 
 
+# The characters that make csv.writer quote a cell: its delimiter, its quote
+# character and the line breaks
+QUOTED = ',"\r\n'
+PLAIN_CELLS = st.text(st.characters(exclude_characters=QUOTED), max_size=6)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cells=st.lists(st.tuples(PLAIN_CELLS, PLAIN_CELLS), min_size=1, max_size=4))
+def test_csv_text_writes_any_cell_that_needs_no_quoting_as_csv_writer_does(cells):
+    rows = [(day, target, "arima", 1.5) for day, target in cells]
+    assert csv_text(FORECAST_HEADER, rows) == oracle_forecast_csv_text(rows)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    cell=st.tuples(PLAIN_CELLS, st.sampled_from(QUOTED), PLAIN_CELLS).map("".join),
+    column=st.integers(0, 2),
+    in_header=st.booleans(),
+)
+def test_csv_text_refuses_a_cell_that_csv_writer_would_quote(cell, column, in_header):
+    header = list(FORECAST_HEADER)
+    rows = [["2021-03-13", "deaths", "arima", 1.5], ["2021-03-14", "deaths", "arima", 2.5]]
+    (header if in_header else rows[1])[column] = cell
+    with pytest.raises(ContractError, match="^a CSV cell holds a comma, quote or line break"):
+        csv_text(tuple(header), [tuple(row) for row in rows])
+
+
+def test_a_label_that_would_need_quoting_leaves_no_forecast_behind(
+    tmp_path, iran_path, capsys, monkeypatch
+):
+    argv, output = run_commands(tmp_path, iran_path, capsys)["forecast"]
+    monkeypatch.setitem(cli.LABELS, "autoreg", "auto,reg")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: a CSV cell holds a comma, quote or line break")
+    assert not output.exists()
+    assert not sidecar(output).exists()
+
+
 # Which commands call each epiforecast.cli attribute the benchmark's tracer wraps
 CALLERS = {
     "cmd_forecast": {"forecast"},
