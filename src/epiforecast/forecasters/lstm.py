@@ -35,7 +35,10 @@ test suite keeps that version as an oracle), which holds because:
     not change an elementwise result, except the sign of a NaN (see below).
 Splitting W into input and recurrent blocks, one stacked gemm over all steps
 for dW, or stacking candidates into one model would change summation orders,
-so none of them is done here.
+so none of them is done here. An evaluation forward (cache=False: the
+full-batch loss and the in-sample predictions) runs the same ops on the same
+operands, but keeps no step tuples, and each Z lives only until the layer
+above has copied it: what outlives a step feeds no op, so the bits are equal.
 
 Forecast layout. The forecast of day k runs the window of input days k to
 k + w - 1 through the layers, and its prediction is input day w + k. Run one
@@ -146,12 +149,13 @@ def lstm_cell_step(
     return h, c
 
 
-def _forward_batch(params: LstmParameters, X: np.ndarray):
+def _forward_batch(params: LstmParameters, X: np.ndarray, cache: bool = True):
     """Run a (batch, window) input matrix through all layers, caching activations.
 
     Per layer the cache holds Z, whose row t is the step input [x_t, h_{t-1}]
     for every window and whose last row carries the final h, plus one
-    (s, g, c_prev, tanh_c) tuple per step in (units, batch) layout.
+    (s, g, c_prev, tanh_c) tuple per step in (units, batch) layout. With
+    cache=False it keeps neither and returns (preds, None).
     """
     B, w = X.shape
     below = X.T[:, :, None]  # (w, B, d): the layer's input at every step
@@ -161,6 +165,7 @@ def _forward_batch(params: LstmParameters, X: np.ndarray):
         d = layer.input_dim
         Z = np.empty((w + 1, B, d + u))
         Z[:w, :, :d] = below
+        del below  # without the cache, this frees the layer below's Z
         Z[0, :, d:] = 0.0
         c = np.zeros((u, B))
         steps = []
@@ -173,16 +178,18 @@ def _forward_batch(params: LstmParameters, X: np.ndarray):
             c_new = f * c + i * g
             tanh_c = np.tanh(c_new)
             Z[t + 1, :, d:] = (o * tanh_c).T
-            steps.append((s, g, c, tanh_c))
+            if cache:
+                steps.append((s, g, c, tanh_c))
             c = c_new
-        caches.append((Z, steps))
+        if cache:
+            caches.append((Z, steps))
         below = Z[1:, :, d:]
     # h_last is contiguous only when w = 1, like the last step of a (B, w, u)
     # sequence: at u = 1, h_last.T @ d_preds is an OpenBLAS dot product, which
     # sums a contiguous vector in another order than a strided one
     h_last = below[-1] if w > 1 else below[-1].copy()
     preds = h_last @ params.head_w + params.head_b
-    return preds, (caches, h_last)
+    return preds, (caches, h_last) if cache else None
 
 
 def _backward_batch(params: LstmParameters, cache, d_preds: np.ndarray) -> LstmParameters:
@@ -305,9 +312,8 @@ def train_lstm(train: Series, config: LstmConfig, seed: int = 0) -> FittedModel:
     lr = config.learning_rate
 
     def loss(params: LstmParameters) -> float:
-        # the full-batch caches are dropped at once: kept alive through training,
-        # they doubled the trainer's peak memory
-        preds = _forward_batch(params, X)[0]
+        # an evaluation forward: no full-batch backprop cache is ever built
+        preds = _forward_batch(params, X, cache=False)[0]
         return float(np.mean((preds - y) ** 2))
 
     def epoch(params: LstmParameters) -> tuple[LstmParameters, float]:
@@ -388,5 +394,5 @@ def insample_lstm(model: FittedModel, train: Series) -> tuple[np.ndarray, np.nda
     """Window predictions over the training frame."""
     config: LstmConfig = model.spec.config
     windows = make_windows(train, config.window)
-    preds, _ = _forward_batch(model.params, windows.inputs)
+    preds, _ = _forward_batch(model.params, windows.inputs, cache=False)
     return windows.targets, preds

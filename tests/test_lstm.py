@@ -18,11 +18,13 @@ from epiforecast.forecasters.lstm import (
     _forward_batch,
     forecast_lstm,
     init_lstm_parameters,
+    insample_lstm,
     lstm_backward,
     lstm_cell_step,
     lstm_forward,
     train_lstm,
 )
+from epiforecast.transform import scale
 from oracles import (
     lstm_gradcheck_max_rel_err,
     oracle_forecast_lstm,
@@ -470,3 +472,73 @@ def test_forecast_state_does_not_grow_with_the_horizon():
 
     # state kept per forecast day would add at least 8 bytes a day, 9,600 here
     assert peak_beyond_the_output(1600) <= peak_beyond_the_output(400) + 1024
+
+
+@pytest.mark.parametrize("window", (1, 2, 14, 20))
+@pytest.mark.parametrize("units", (1, 2, 16, 32))
+@pytest.mark.parametrize("layers", (1, 2, 3))
+def test_evaluation_forward_is_bit_identical_to_batch_major_oracle(layers, units, window):
+    rng = np.random.default_rng([layers, units, window, 24])
+    config = LstmConfig(num_units=units, window=window, epochs=1, learning_rate=0.1, layers=layers)
+    params = init_lstm_parameters(config, rng)
+    for batch in (1, 5, 32, 291):
+        X = rng.uniform(-1.0, 1.0, (batch, window))
+        # factors 5 and 20 drive the gates and the cell state into saturation
+        for factor in (1.0, 5.0, 20.0):
+            preds, cache = _forward_batch(scaled(params, factor), X, cache=False)
+            assert cache is None
+            assert_same_bytes(preds, oracle_lstm_forward_batch(scaled(params, factor), X)[0])
+
+
+def test_evaluation_forward_of_a_diverging_model_is_bit_identical():
+    config = LstmConfig(num_units=16, window=14, epochs=1, learning_rate=0.1, layers=2)
+    params = init_lstm_parameters(config, np.random.default_rng(3))
+    X = np.random.default_rng(4).uniform(-1.0, 1.0, (291, 14))
+    X[::7, 3] = 1e306  # fed-back predictions of a diverging forecast
+    X[5, 9], X[6, 2] = np.inf, np.nan
+    # head_w x 1e308 sums hidden states of both signs into +-inf and NaN
+    for head_b in (params.head_b, np.inf, np.nan):
+        diverging = LstmParameters(params.layers, params.head_w * 1e308, head_b)
+        with np.errstate(all="ignore"):
+            got = _forward_batch(diverging, X, cache=False)[0]
+            want = oracle_lstm_forward_batch(diverging, X)[0]
+            assert_same_bytes(got, _forward_batch(diverging, X)[0])
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan) and nan.any()
+        assert_same_bytes(got[~nan], want[~nan])
+
+
+def test_loss_history_and_insample_of_a_trained_deaths_model_keep_their_bytes(deaths):
+    train, _ = train_test_split(deaths, 0.2)
+    config = LstmConfig(num_units=16, window=14, epochs=20, learning_rate=0.1, batch_size=32)
+    model = fit_normalized(ForecasterSpec("lstm", config, 0), train)
+    scaled_train = scale(model.scaler, train)
+    X, y = oracle_windows(scaled_train.values, 14)
+    want_params, want_losses = oracle_train_lstm_params(X, y, config, seed=0)
+    assert model.params.loss_history == want_losses
+    actual, predicted = insample_lstm(model, scaled_train)
+    assert_same_bytes(actual, y)
+    assert_same_bytes(predicted, oracle_lstm_forward_batch(want_params, X)[0])
+    assert_same_bytes(predicted, _forward_batch(model.params, X)[0])
+
+
+def test_evaluation_keeps_no_backprop_cache():
+    # the backtest's refit shape: 291 windows of 14 days, 16 units, 2 layers.
+    # The caching forward peaks at about 8.3 MB here (both layers' Z and 28
+    # step tuples), the evaluation forward at about 2.2 MB
+    config = LstmConfig(num_units=16, window=14, epochs=0, learning_rate=0.1, layers=2)
+    s = series(np.random.default_rng(0).uniform(0.0, 1.0, 305))
+    model = train_lstm(s, config, seed=0)
+    insample_lstm(model, s)  # first-call allocations are not the forward's
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: insample_lstm(model, s)) < 4 * 2**20
+    # epochs = 0: the initial and final full-batch losses and nothing else
+    assert peak(lambda: train_lstm(s, config, seed=0)) < 4 * 2**20
