@@ -14,21 +14,13 @@ is not compared. Every difference is printed as one row of a table, and the
 script exits 1 on any difference or on a run that did not report
 `correct: true`. Otherwise it prints a one-line summary and exits 0.
 
-A change that moves bits on purpose names the workloads it may change with
-`--expect` (repeatable). Differences confined to those workloads, a flipped
-`correct` flag of the default seed included (its reference digests move too),
-are printed and exit 0; a difference in any other workload, or any other run
-that is not `correct: true`, still exits 1.
-
 Usage, from anywhere in the repository:
 
     python3 scripts/compare_digests.py <rev>      # e.g. HEAD or HEAD~1
-    python3 scripts/compare_digests.py <rev> --expect classic_tune --expect forecast_serve
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import shutil
 import subprocess
@@ -74,32 +66,16 @@ def compared_fields(workload: str, tree: Path, seed: int) -> dict:
     return fields
 
 
-def unexpected(rows: list[tuple], expect: set[str]) -> list[tuple]:
-    """The (workload, seed, field, at rev, this tree) rows that `--expect`
-    does not cover: every row of a workload not in expect, and in one that is,
-    a `correct` row other than the default seed's flag flipping between True
-    and False (a run that crashed reports no flag)."""
-    def covered(workload, seed, field, want, got) -> bool:
-        flipped = seed == SEEDS[0] and {want, got} == {True, False}
-        return workload in expect and (field != "correct" or flipped)
-
-    return [row for row in rows if not covered(*row)]
-
-
 def short(value) -> str:
     text = str(value)
     return text[:12] if len(text) == 64 else text  # a SHA-256 digest by its prefix
 
 
 def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        sys.exit(__doc__.strip().split("\n\n")[-1])
+    rev = git("rev-parse", "--verify", f"{argv[0]}^{{commit}}")
     workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
-    parser = argparse.ArgumentParser(description=__doc__.strip().split("\n\n")[0])
-    parser.add_argument("rev", help="the git revision to compare with, e.g. HEAD~1")
-    parser.add_argument("--expect", action="append", default=[], choices=workloads,
-                        metavar="WORKLOAD", help="a workload whose digests may differ")
-    args = parser.parse_args(argv)
-    expect = set(args.expect)
-    rev = git("rev-parse", "--verify", f"{args.rev}^{{commit}}")
     start = time.perf_counter()
     scratch = Path(tempfile.mkdtemp(prefix="compare-digests-"))
     base = scratch / "base"
@@ -125,19 +101,14 @@ def main(argv: list[str]) -> int:
     wall = time.perf_counter() - start
     runs = len(workloads) * len(SEEDS)
     if rows:
-        outside = unexpected(rows, expect)
-        header = ("workload", "seed", "field", f"at {rev[:12]}", "this tree", "expected")
-        table = [header] + [
-            (w, str(s), k, short(a), short(b), "no" if (w, s, k, a, b) in outside else "yes")
-            for w, s, k, a, b in rows
-        ]
+        header = ("workload", "seed", "field", f"at {rev[:12]}", "this tree")
+        table = [header] + [(w, str(s), k, short(a), short(b)) for w, s, k, a, b in rows]
         widths = [max(len(row[i]) for row in table) for i in range(len(header))]
         for row in table:
             print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
-        print(f"{len(rows)} differing fields over {runs} seed runs per tree against {rev[:12]}, "
-              f"{len(outside)} outside --expect {', '.join(sorted(expect)) or '(none)'} "
+        print(f"{len(rows)} differing fields over {runs} seed runs per tree against {rev[:12]} "
               f"({wall:.0f} s)")
-        return 1 if outside else 0
+        return 1
     print(f"digests, candidate counts and log counts equal for seeds {SEEDS[0]}-{SEEDS[-1]} of "
           f"{', '.join(workloads)} against {rev[:12]}; every run correct ({wall:.0f} s)")
     return 0

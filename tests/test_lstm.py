@@ -278,6 +278,9 @@ def test_batch_kernel_is_bit_identical_to_batch_major_oracle(layers, units, wind
     preds, cache = _forward_batch(params, X)
     want_preds, want_cache = oracle_lstm_forward_batch(params, X)
     assert_same_bytes(preds, want_preds)
+    evaluated, no_cache = _forward_batch(params, X, cache=False)
+    assert no_cache is None
+    assert_same_bytes(evaluated, want_preds)
     grads = _backward_batch(params, cache, d_preds)
     want = oracle_lstm_backward_batch(params, want_cache, d_preds)
     assert len(grads.layers) == layers
@@ -474,22 +477,6 @@ def test_forecast_state_does_not_grow_with_the_horizon():
     assert peak_beyond_the_output(1600) <= peak_beyond_the_output(400) + 1024
 
 
-@pytest.mark.parametrize("window", (1, 2, 14, 20))
-@pytest.mark.parametrize("units", (1, 2, 16, 32))
-@pytest.mark.parametrize("layers", (1, 2, 3))
-def test_evaluation_forward_is_bit_identical_to_batch_major_oracle(layers, units, window):
-    rng = np.random.default_rng([layers, units, window, 24])
-    config = LstmConfig(num_units=units, window=window, epochs=1, learning_rate=0.1, layers=layers)
-    params = init_lstm_parameters(config, rng)
-    for batch in (1, 5, 32, 291):
-        X = rng.uniform(-1.0, 1.0, (batch, window))
-        # factors 5 and 20 drive the gates and the cell state into saturation
-        for factor in (1.0, 5.0, 20.0):
-            preds, cache = _forward_batch(scaled(params, factor), X, cache=False)
-            assert cache is None
-            assert_same_bytes(preds, oracle_lstm_forward_batch(scaled(params, factor), X)[0])
-
-
 def test_evaluation_forward_of_a_diverging_model_is_bit_identical():
     config = LstmConfig(num_units=16, window=14, epochs=1, learning_rate=0.1, layers=2)
     params = init_lstm_parameters(config, np.random.default_rng(3))
@@ -525,7 +512,8 @@ def test_loss_history_and_insample_of_a_trained_deaths_model_keep_their_bytes(de
 def test_evaluation_keeps_no_backprop_cache():
     # the backtest's refit shape: 291 windows of 14 days, 16 units, 2 layers.
     # The caching forward peaks at about 8.3 MB here (both layers' Z and 28
-    # step tuples), the evaluation forward at about 2.2 MB
+    # step tuples), the evaluation forward at about 2.2 MB. Keeping the first
+    # layer's Z alive while the second layer runs makes that about 2.55 MB
     config = LstmConfig(num_units=16, window=14, epochs=0, learning_rate=0.1, layers=2)
     s = series(np.random.default_rng(0).uniform(0.0, 1.0, 305))
     model = train_lstm(s, config, seed=0)
@@ -539,6 +527,6 @@ def test_evaluation_keeps_no_backprop_cache():
         finally:
             tracemalloc.stop()
 
-    assert peak(lambda: insample_lstm(model, s)) < 4 * 2**20
+    assert peak(lambda: insample_lstm(model, s)) < 2.4 * 2**20
     # epochs = 0: the initial and final full-batch losses and nothing else
-    assert peak(lambda: train_lstm(s, config, seed=0)) < 4 * 2**20
+    assert peak(lambda: train_lstm(s, config, seed=0)) < 2.4 * 2**20
