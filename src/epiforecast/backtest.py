@@ -144,32 +144,37 @@ def rolling_origin_eval(
     return [FoldScore(o, _fold_mse(spec, s, o, h)) for o, h in protocol.folds(s)]
 
 
+def score_candidate(
+    spec: ForecasterSpec, train: Series, folds: Sequence[tuple[int, int]]
+) -> float | Exception:
+    """spec's mean MSE over the folds of train, or the exception that ended one
+    of its fits or scores; logs nothing."""
+    try:
+        return sum(_fold_mse(spec, train, o, h) for o, h in folds) / len(folds)
+    except Exception as exc:  # one failing candidate must not end the search
+        return exc
+
+
 def grid_search(
     candidates: Sequence[ForecasterSpec], train: Series, protocol: EvalProtocol | None = None
 ) -> tuple[ForecasterSpec, FittedModel, float]:
     """Score each candidate by its mean MSE over the protocol's folds of train;
-    refit the winner on all of train. Ties break toward the earlier candidate
-    (strict improvement only); failed candidates are logged and skipped."""
+    refit the winner on all of train. Ties break toward the earlier candidate;
+    failed candidates are logged as they fail and skipped."""
     if not candidates:
         raise ContractError("grid_search needs at least one candidate")
     folds = (protocol or EvalProtocol()).folds(train)
-    best_spec = best_score = None
-    failures = []
+    scored = []
     for spec in candidates:
-        try:
-            score = sum(_fold_mse(spec, train, o, h) for o, h in folds) / len(folds)
-        except Exception as exc:  # one failing candidate must not end the search
-            reason = _failure(exc, f"grid search skipping {spec.kind} {spec.config}")
-            failures.append((spec, reason))
-            continue
-        if best_score is None or score < best_score:
-            best_score = score
-            best_spec = spec
-    if best_spec is None:
-        raise ExhaustedGridError(
-            f"all {len(failures)} grid candidates failed; last: {failures[-1][1]}"
-        )
-    return best_spec, fit_normalized(best_spec, train), best_score
+        outcome = score_candidate(spec, train, folds)
+        if isinstance(outcome, Exception):
+            reason = _failure(outcome, f"grid search skipping {spec.kind} {spec.config}")
+        else:
+            scored.append((spec, outcome))
+    if not scored:
+        raise ExhaustedGridError(f"all {len(candidates)} grid candidates failed; last: {reason}")
+    chosen, score = min(scored, key=lambda pair: pair[1])  # the first of equal scores
+    return chosen, fit_normalized(chosen, train), score
 
 
 def _failure(exc: Exception, context: str) -> str:
@@ -177,7 +182,7 @@ def _failure(exc: Exception, context: str) -> str:
     any other exception as "TypeName: message", logged with its traceback."""
     foreign = not isinstance(exc, EpiForecastError)
     reason = f"{type(exc).__name__}: {exc}" if foreign else str(exc)
-    logger.warning("%s: %s", context, reason, exc_info=foreign)
+    logger.warning("%s: %s", context, reason, exc_info=exc if foreign else None)
     return reason
 
 
@@ -412,8 +417,10 @@ def expand_grid(kind: str, grid: dict, seed: int) -> list[ForecasterSpec]:
     """One spec per combination of the grid's value lists, last key fastest; an
     ARIMA grid gives arima_orders(p_max, q_max, d), simplest order first."""
     if kind == "arima":
-        (p_max,), (q_max,) = grid["p_max"], grid["q_max"]
-        configs = arima_orders(p_max, q_max, grid["d"])
+        (p_max,), (q_max,), ds = grid["p_max"], grid["q_max"], list(grid["d"])
+        configs = arima_orders(p_max, q_max, ds)
+        if not configs:  # refused before anything is fitted
+            raise ContractError(f"p_max {p_max}, q_max {q_max} and d {ds} give no order")
     else:
         keys = list(grid)
         combos = itertools.product(*(grid[k] for k in keys))

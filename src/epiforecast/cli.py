@@ -31,6 +31,7 @@ from .backtest import (
     DEFAULT_GRIDS,
     DISPLAY_NAMES,
     EvalProtocol,
+    _failure,
     compare_models,
     expand_grid,
     fit_normalized,
@@ -262,12 +263,17 @@ def cmd_fit(args) -> None:
     s = extract_series(run.dataset(), target)
     candidates = _candidate_grids(run.config["seed"], args.grid)[args.model]
     protocol = EvalProtocol(test_fraction=run.config["test_fraction"])
-    if len(candidates) == 1:
-        chosen, model, validation_mse = candidates[0], fit_normalized(candidates[0], s), None
-    else:
-        chosen, model, validation_mse = grid_search(candidates, s, protocol)
-    model = replace(model, target=target)
-    actual, predicted = insample_predictions(model, scale(model.scaler, s))
+    try:
+        if len(candidates) == 1:
+            chosen, model, validation_mse = candidates[0], fit_normalized(candidates[0], s), None
+        else:
+            chosen, model, validation_mse = grid_search(candidates, s, protocol)
+        model = replace(model, target=target)
+        actual, predicted = insample_predictions(model, scale(model.scaler, s))
+    except EpiForecastError:
+        raise
+    except Exception as exc:  # a fitter's own failure is a model error, as in a backtest
+        raise EpiForecastError(_failure(exc, f"model {args.model} failed")) from exc
     path = run.write(f"model_{target}_{args.model}.json", lambda p: save_model(model, p))
     print(f"model: {args.model}")
     print(f"hyperparameters: {json.dumps(asdict(chosen.config), sort_keys=True)}")

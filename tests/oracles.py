@@ -924,7 +924,10 @@ def oracle_grid_section(ini, kind, seed):
         p_max = int(options["p_max"][0]) if "p_max" in options else ARIMA_DEFAULT_P_MAX
         q_max = int(options["q_max"][0]) if "q_max" in options else ARIMA_DEFAULT_Q_MAX
         ds = [int(v) for v in options["d"]] if "d" in options else ARIMA_DEFAULT_D
-        return [ForecasterSpec("arima", order, seed) for order in arima_orders(p_max, q_max, ds)]
+        orders = arima_orders(p_max, q_max, ds)
+        if not orders:  # refused as the package refuses it: such a section fits nothing
+            raise ContractError(f"p_max {p_max}, q_max {q_max} and d {list(ds)} give no order")
+        return [ForecasterSpec("arima", order, seed) for order in orders]
     missing = [
         f.name
         for f in fields(config_type)

@@ -1,6 +1,7 @@
 """Evaluation harness: splits, rolling origins, grid search and reports."""
 
 import json
+import logging
 import re
 
 import numpy as np
@@ -24,6 +25,7 @@ from epiforecast.backtest import (
     holdout_eval,
     render_table,
     rolling_origin_eval,
+    score_candidate,
 )
 from epiforecast.data import train_test_split
 from epiforecast.errors import ContractError, ExhaustedGridError
@@ -481,3 +483,78 @@ def test_rolling_origin_eval_scores_the_one_fold_of_a_holdout_protocol():
     _, _, score = grid_search([spec], s, protocol)
     assert fold.origin == 75
     assert_same_float(fold.mse, score)
+
+
+# --- one candidate scorer ------------------------------------------------------------
+
+
+def log_records(caplog):
+    """(logger, level, message, exc_info type) of each captured record, in order."""
+    return [
+        (r.name, r.levelno, r.getMessage(), r.exc_info[0] if r.exc_info else None)
+        for r in caplog.records
+    ]
+
+
+def plant_zero_division(monkeypatch, p):
+    """fit_autoreg raises ZeroDivisionError, a foreign exception, for order p."""
+    real = fc.fit_autoreg
+
+    def planted(train, order):
+        if order.p == p:
+            raise ZeroDivisionError("planted")
+        return real(train, order)
+
+    monkeypatch.setattr(fc, "fit_autoreg", planted)
+
+
+def test_grid_search_logs_and_selects_as_the_oracle_with_both_kinds_of_failure(
+    monkeypatch, caplog
+):
+    plant_zero_division(monkeypatch, 2)
+    s = wiggly_series(30)
+    # ArOrder(50) cannot fit the 24-point fit part: a package failure
+    candidates = [ForecasterSpec("autoreg", ArOrder(p), 0) for p in (50, 3, 2, 1)]
+    caplog.set_level(logging.DEBUG)
+    chosen, model, score = grid_search(candidates, s)
+    got = log_records(caplog)
+    caplog.clear()
+    want_chosen, want_model, want_score = oracle_grid_search(candidates, s)
+    assert got == log_records(caplog)
+    assert [(name, level, exc_type) for name, level, _, exc_type in got] == [
+        ("epiforecast.backtest", logging.WARNING, None),
+        ("epiforecast.backtest", logging.WARNING, ZeroDivisionError),
+    ]
+    assert chosen is want_chosen
+    assert_same_float(score, want_score)
+    assert forecast(model, 20).tobytes() == forecast(want_model, 20).tobytes()
+    # every candidate failing: the same records and the same error text
+    caplog.clear()
+    with pytest.raises(ExhaustedGridError) as got_error:
+        grid_search(candidates[::2], s)
+    got = log_records(caplog)
+    caplog.clear()
+    with pytest.raises(ExhaustedGridError) as want_error:
+        oracle_grid_search(candidates[::2], s)
+    assert got == log_records(caplog)
+    assert str(got_error.value) == str(want_error.value)
+    assert str(got_error.value) == "all 2 grid candidates failed; last: ZeroDivisionError: planted"
+
+
+def test_score_candidate_returns_the_failure_and_logs_nothing(monkeypatch, caplog):
+    plant_zero_division(monkeypatch, 2)
+    s = wiggly_series(30)
+    folds = EvalProtocol().folds(s)
+    caplog.set_level(logging.DEBUG)
+    too_big = score_candidate(ForecasterSpec("autoreg", ArOrder(50), 0), s, folds)
+    foreign = score_candidate(ForecasterSpec("autoreg", ArOrder(2), 0), s, folds)
+    assert isinstance(too_big, ContractError)
+    assert isinstance(foreign, ZeroDivisionError) and str(foreign) == "planted"
+    assert caplog.records == []
+    s = wiggly_series(100)
+    spec = ForecasterSpec("autoreg", ArOrder(3), 0)
+    for protocol in FOLD_PROTOCOLS.values():
+        folds = protocol.folds(s)
+        want = sum(bt._fold_mse(spec, s, o, h) for o, h in folds) / len(folds)
+        assert_same_float(score_candidate(spec, s, folds), want)
+    assert caplog.records == []

@@ -17,6 +17,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from epiforecast import cli, errors
+import epiforecast.forecasters as fc
 from epiforecast.backtest import arima_default_candidates, default_model_grids
 from epiforecast.cli import main
 from epiforecast.data import parse_csv, train_test_split
@@ -328,6 +329,64 @@ def test_backtest_total_failure_is_model_error(tmp_path, capsys):
     ])
     assert code == 3
     assert "every model failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "grid, failing_call",
+    [("[autoreg]\np = 2\n", 1), ("[autoreg]\np = 2, 3\n", 3)],
+    ids=["single-candidate", "grid-winner-refit"],
+)
+def test_a_fitters_foreign_exception_in_fit_is_a_model_error(
+    tmp_path, capsys, caplog, monkeypatch, grid, failing_call
+):
+    real, calls = fc.fit_autoreg, []
+
+    def planted(train, order):
+        calls.append(order)
+        if len(calls) == failing_call:
+            raise ZeroDivisionError("planted")
+        return real(train, order)
+
+    monkeypatch.setattr(fc, "fit_autoreg", planted)
+    data = make_csv(tmp_path / "data.csv", n=60)
+    grid = write_grid(tmp_path / "grid.ini", grid)
+    out = tmp_path / "out"
+    code = main([
+        "fit", "--input", str(data), "--model", "autoreg", "--grid", str(grid), "--out", str(out),
+    ])
+    assert code == 3
+    assert capsys.readouterr().err == "error: ZeroDivisionError: planted\n"
+    (record,) = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert record.getMessage() == "model autoreg failed: ZeroDivisionError: planted"
+    assert record.exc_info[0] is ZeroDivisionError
+    assert not out.exists()  # no model file and no sidecar
+
+
+@pytest.mark.parametrize(
+    "section, message",
+    [
+        ("p_max = 0\nq_max = 0\nd = 0\n", "p_max 0, q_max 0 and d [0] give no order"),
+        ("p_max = -1\n", "p_max -1, q_max 5 and d [0, 1] give no order"),
+        ("q_max = -1\n", "p_max 5, q_max -1 and d [0, 1] give no order"),
+    ],
+    ids=["only-000", "p_max-negative", "q_max-negative"],
+)
+@pytest.mark.parametrize("command", ["fit", "backtest"])
+def test_an_arima_section_with_no_order_is_refused_before_anything_is_fitted(
+    tmp_path, capsys, monkeypatch, command, section, message
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing may be fitted")
+
+    monkeypatch.setattr(fc, "fit_arima", refuse)
+    data = make_csv(tmp_path / "data.csv")
+    grid = write_grid(tmp_path / "grid.ini", "[arima]\n" + section)
+    out = tmp_path / "out"
+    model = ["--model", "arima"] if command == "fit" else ["--models", "arima"]
+    code = main([command, "--input", str(data), *model, "--grid", str(grid), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: grid section [arima]: {message}\n"
+    assert not out.exists()
 
 
 def test_plotdata_merges_observed_and_forecasts(tmp_path, capsys):
