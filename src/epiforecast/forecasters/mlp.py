@@ -5,17 +5,21 @@ hidden_units = 0 the net collapses to a linear map of the window, i.e. plain
 linear autoregression trained by gradient descent. The seasonal variant
 appends a day-of-week one-hot for the day being predicted.
 
-Training kernel. An epoch is per-op dispatch and allocation on small arrays,
-so _gradients writes H, dH, 1 - H*H, the error and d_preds into buffers that
-fit_mlp allocates once per fit, and computes preds - y once for the gradient
-and the loss. fit_mlp writes W - lr * g into the gradient arrays the products
-and dH.sum(axis=0) have just allocated, so no buffer aliases an MlpParams.
-This reproduces the allocating version (kept as a test oracle) bit for bit:
+Training kernel. _layers, the one tanh-layer kernel, is every forward: each
+epoch and the initial and final loss (through _gradients), the in-sample
+predictions and each forecast step. An epoch is per-op dispatch and allocation
+on small arrays, so _gradients hands _layers a buffer for H and writes dH,
+1 - H*H, the error and d_preds into buffers that fit_mlp allocates once per
+fit; preds - y serves the gradient and the loss. fit_mlp writes W - lr * g
+into the gradient arrays the products and dH.sum(axis=0) have just allocated,
+so no buffer aliases an MlpParams. This reproduces the allocating version
+(kept as a test oracle) bit for bit:
   * every matrix product keeps its operands, shapes and memory layout, from
     which OpenBLAS picks its kernel and so its summation order: X @ W.T (into
-    a C-contiguous (n, h) buffer), H @ out_w, dH.T @ X and H.T @ d_preds;
-  * np.add.reduce is the pairwise sum inside np.sum and np.mean, and the loss
-    divides it by n as np.mean does; dH.sum(axis=0) is unchanged;
+    a new or buffered C-contiguous (n, h) array), H @ out_w, dH.T @ X and
+    H.T @ d_preds;
+  * np.add.reduce over err * err is the pairwise sum inside np.mean of
+    err ** 2, divided by n as np.mean does; dH.sum(axis=0) is unchanged;
   * an elementwise op writes the same bits into a buffer as into a new array,
     and each keeps its operands (np.outer(a, b) is a[:, None] * b; lr * g is
     g * lr). Stacked candidates, transposed layouts, ones @ dH or fused ops
@@ -83,15 +87,19 @@ def check_mlp_params(params: MlpParams, config: MlpConfig) -> None:
         raise ValueError(f"next_dow is {params.next_dow} but seasonal is {config.seasonal}")
 
 
-def _hidden(params: MlpParams, X: np.ndarray) -> np.ndarray:
-    """The tanh layer's activations, or X itself when the hidden layer is absent."""
+def _layers(params: MlpParams, X: np.ndarray, H: np.ndarray | None = None) -> tuple:
+    """The tanh layer's activations (into H when given; X when h = 0) and the predictions."""
     if params.hidden_w is None:
-        return X
-    return np.tanh(X @ params.hidden_w.T + params.hidden_b)
+        H = X
+    else:
+        H = np.matmul(X, params.hidden_w.T, out=H)
+        np.add(H, params.hidden_b, out=H)
+        np.tanh(H, out=H)
+    return H, H @ params.out_w + params.out_b
 
 
 def _forward(params: MlpParams, X: np.ndarray) -> np.ndarray:
-    return _hidden(params, X) @ params.out_w + params.out_b
+    return _layers(params, X)[1]
 
 
 def _work(n: int, h: int) -> tuple[np.ndarray, ...]:
@@ -107,14 +115,7 @@ def _gradients(
     Temporaries go into work's buffers; the gradient arrays are new, so a
     caller may overwrite them."""
     H, dH, dtanh, err, d_preds = work
-    if params.hidden_w is None:
-        H = X
-    else:
-        np.matmul(X, params.hidden_w.T, out=H)
-        np.add(H, params.hidden_b, out=H)
-        np.tanh(H, out=H)
-    preds = H @ params.out_w
-    preds += params.out_b
+    H, preds = _layers(params, X, H)
     np.subtract(preds, y, out=err)
     np.multiply(2.0 / len(y), err, out=d_preds)
     hidden_w = hidden_b = None
@@ -169,10 +170,7 @@ def fit_mlp(train: Series, config: MlpConfig, seed: int = 0) -> FittedModel:
             out_b=params.out_b - lr * grads.out_b,
         ), value
 
-    def loss(params: MlpParams) -> float:
-        return float(np.mean((_forward(params, X) - y) ** 2))
-
-    params = descend("MLP", params, config.epochs, loss, epoch)
+    params = descend("MLP", params, config.epochs, lambda p: _gradients(p, X, y, work)[2], epoch)
     next_dow = (train.start_date.weekday() + len(train)) % 7 if config.seasonal else None
     return fitted(ForecasterSpec("mlp", config, seed), replace(params, next_dow=next_dow), train)
 
