@@ -26,6 +26,8 @@ from .transform import fit_scaler, scale
 logger = logging.getLogger(__name__)
 
 REPORT_SCHEMA_VERSION = 1
+# A report row's metric fields, in the order _score computes and the report lists them
+METRICS = ("mse_train", "mse_test", "r2_train", "r2_test", "rmse_test", "mape_test", "mase_test")
 
 PROTOCOL_NOTES = {
     "holdout": (
@@ -103,8 +105,8 @@ class EvalProtocol:
 class HoldoutScores(NamedTuple):
     train_mse: float
     test_mse: float
-    train_score: float
-    test_score: float
+    train_score: float | None  # None where the data leave R^2 undefined
+    test_score: float | None
 
 
 class FoldScore(NamedTuple):
@@ -205,15 +207,7 @@ class ReportRow:
     error: str | None = None
 
     def metrics_dict(self) -> dict[str, float | None]:
-        return {
-            "mse_train": self.mse_train,
-            "mse_test": self.mse_test,
-            "r2_train": self.r2_train,
-            "r2_test": self.r2_test,
-            "rmse_test": self.rmse_test,
-            "mape_test": self.mape_test,
-            "mase_test": self.mase_test,
-        }
+        return {name: getattr(self, name) for name in METRICS}
 
 
 @dataclass
@@ -330,19 +324,24 @@ def _score(
     row.kind = spec.kind
     row.hyperparameters = asdict(spec.config)
     row.seed = spec.seed
-    row.mse_train = mse(actual, predicted)
-    row.mse_test = mse(test_n.values, fc)
-    row.r2_train = fit_score(actual, predicted)
-    row.r2_test = fit_score(test_n.values, fc)
-    row.rmse_test = rmse(test_n.values, fc)
+    train_fit, test_fc = (actual, predicted), (test_n.values, fc)
+    calls = {  # mse is looked up per call, so it can be wrapped
+        "mse_train": (mse, *train_fit), "mse_test": (mse, *test_fc),
+        "r2_train": (fit_score, *train_fit), "r2_test": (fit_score, *test_fc),
+        "rmse_test": (rmse, *test_fc), "mape_test": (mape, *test_fc),
+        "mase_test": (mase, *test_fc, train_n.values),
+    }
+    for name in METRICS:
+        setattr(row, name, measure(row.notes, name, *calls[name]))
+
+
+def measure(notes: list[str], name: str, metric, *args) -> float | None:
+    """metric(*args), or None and a note in notes when the data leave the metric undefined."""
     try:
-        row.mape_test = mape(test_n.values, fc)
+        return metric(*args)
     except UndefinedMetricError as exc:
-        row.notes.append(f"mape_test undefined: {exc}")
-    try:
-        row.mase_test = mase(test_n.values, fc, train_n.values)
-    except UndefinedMetricError as exc:
-        row.notes.append(f"mase_test undefined: {exc}")
+        notes.append(f"{name} undefined: {exc}")
+        return None
 
 
 def render_table(report: BacktestReport) -> str:
@@ -360,11 +359,9 @@ def render_table(report: BacktestReport) -> str:
     for label, attr in metric_rows:
         cells = []
         for row in report.rows:
-            if row.error is not None:
-                cells.append("error".rjust(width))
-            else:
-                value = getattr(row, attr)
-                cells.append(f"{value:.4f}".rjust(width))
+            value = getattr(row, attr)
+            cell = "error" if row.error is not None else "n/a" if value is None else f"{value:.4f}"
+            cells.append(cell.rjust(width))
         lines.append(label.ljust(label_w) + "".join(cells))
     for row in report.rows:
         if row.error is not None:

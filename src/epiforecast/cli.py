@@ -36,6 +36,7 @@ from .backtest import (
     expand_grid,
     fit_normalized,
     grid_search,
+    measure,
     render_table,
 )
 from .data import (
@@ -281,7 +282,9 @@ def cmd_fit(args) -> None:
     if validation_mse is not None:
         print(f"validation mse: {validation_mse:.6g}")
     print(f"train mse: {mse(actual, predicted):.6g}")
-    print(f"train r2: {fit_score(actual, predicted):.6g}")
+    notes: list[str] = []
+    r2 = measure(notes, "train r2", fit_score, actual, predicted)
+    print(notes[0] if notes else f"train r2: {r2:.6g}")
     print(f"wrote {path}")
 
 

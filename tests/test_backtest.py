@@ -31,7 +31,7 @@ from epiforecast.data import train_test_split
 from epiforecast.errors import ContractError, ExhaustedGridError
 import epiforecast.forecasters as fc
 from epiforecast.forecasters import FAMILIES, KINDS, ForecasterSpec, fit, forecast
-from epiforecast.forecasters.base import ArOrder, LstmConfig
+from epiforecast.forecasters.base import ArimaOrder, ArOrder, LstmConfig
 from epiforecast.forecasters.base import AdditiveConfig, MlpConfig
 from epiforecast.metrics import mse
 from epiforecast.transform import fit_scaler, scale
@@ -373,6 +373,63 @@ def test_score_notes_the_metrics_it_cannot_define():
     bt._score(row, spec, model, series(np.full(80, 1.0)), test)
     assert row.mase_test is None and row.mape_test is not None
     assert row.notes == ["mase_test undefined: mase undefined: training series is constant"]
+
+
+# Two tiny candidates per family, so every family runs its grid search
+TINY_GRIDS = {
+    "additive": [AdditiveConfig(n_changepoints=2), AdditiveConfig(n_changepoints=5)],
+    "autoreg": [ArOrder(1), ArOrder(3)],
+    "arima": [ArimaOrder(1, 1, 0), ArimaOrder(1, 1, 1)],
+    "lstm": [
+        LstmConfig(num_units=2, window=3, epochs=2, learning_rate=lr, batch_size=32, layers=1)
+        for lr in (0.1, 0.3)
+    ],
+    "mlp": [
+        MlpConfig(window=3, hidden_units=2, epochs=20, learning_rate=lr, seasonal=True)
+        for lr in (0.05, 0.1)
+    ],
+}
+R2_TEST_NOTE = "r2_test undefined: fit_score undefined: actual series is constant"
+
+
+def plateaued_series(n=100, test_fraction=0.2):
+    """wiggly_series held at its last training value over the test split, as a
+    cumulative count is when it stops rising."""
+    values = wiggly_series(n).values.copy()
+    n_train = len(train_test_split(series(values), test_fraction)[0])
+    values[n_train:] = values[n_train - 1]
+    return series(values)
+
+
+@pytest.mark.parametrize(
+    "protocol",
+    [EvalProtocol(), EvalProtocol(kind="rolling_origin", initial_train=40, step=10, horizon=5)],
+    ids=["holdout", "rolling"],
+)
+def test_a_constant_test_split_scores_every_family_and_notes_its_r2(protocol):
+    entries = [
+        (kind, [ForecasterSpec(kind, config, 0) for config in configs])
+        for kind, configs in TINY_GRIDS.items()
+    ]
+    report = compare_models(entries, plateaued_series(), protocol)
+    assert [row.error for row in report.rows] == [None] * len(TINY_GRIDS)
+    for row in report.rows:
+        assert row.r2_test is None and row.notes == [R2_TEST_NOTE]
+        assert row.hyperparameters is not None
+        assert row.validation_mse is not None and row.mse_test is not None
+        assert row.r2_train is not None and row.rmse_test is not None
+    doc = report.to_dict()
+    assert [m["metrics"]["r2_test"] for m in doc["models"]] == [None] * len(TINY_GRIDS)
+    assert doc["schema_version"] == 1
+
+
+def test_render_table_shows_n_a_for_an_undefined_metric():
+    entries = [(f"AR{p}", [ForecasterSpec("autoreg", ArOrder(p), 0)]) for p in (1, 2)]
+    lines = render_table(compare_models(entries, plateaued_series())).splitlines()
+    test_score = next(line for line in lines if line.startswith("Test Score"))
+    train_score = next(line for line in lines if line.startswith("Train Score"))
+    assert test_score.split() == ["Test", "Score", "n/a", "n/a"]
+    assert "n/a" not in train_score and "error" not in "\n".join(lines)
 
 
 # --- one fold rule -----------------------------------------------------------------

@@ -51,6 +51,21 @@ def write_grid(path, text):
     return path
 
 
+def make_plateau_csv(path, n, rise, seed=0):
+    """make_csv's columns, but deaths rise only from day 1 to day rise and then
+    stay flat, as a cumulative count does once the daily count reaches zero."""
+    rng = np.random.default_rng(seed)
+    rows = ["Date,Confirmed,Deaths,Recovered"]
+    c = d = r = 0
+    for i in range(n):
+        c += int(rng.integers(5, 60))
+        d += int(rng.integers(1, 5)) if 0 < i <= rise else 0
+        r += int(rng.integers(0, 40))
+        rows.append(f"{(date(2020, 2, 26) + timedelta(days=i)).isoformat()},{c},{d},{r}")
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
 def test_validate_reports_span_and_monotonicity(iran_path, capsys):
     assert main(["validate", "--input", str(iran_path)]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -102,6 +117,22 @@ def test_fit_writes_model_and_sidecar(tmp_path, capsys):
     sidecar = json.loads((out / "model_deaths_autoreg.json.meta.json").read_text())
     assert sidecar["command"] == "fit"
     assert sidecar["effective_config"]["target"] == "deaths"
+
+
+def test_fit_on_a_series_flat_after_day_one_notes_its_undefined_train_r2(tmp_path, capsys):
+    data = make_plateau_csv(tmp_path / "data.csv", n=40, rise=1)
+    grid = write_grid(tmp_path / "grid.ini", "[autoreg]\np = 1\n")
+    out = tmp_path / "out"
+    code = main([
+        "fit", "--input", str(data), "--model", "autoreg", "--target", "deaths",
+        "--grid", str(grid), "--out", str(out),
+    ])
+    assert code == 0
+    stdout = capsys.readouterr().out.splitlines()
+    assert "train r2 undefined: fit_score undefined: actual series is constant" in stdout
+    assert not [line for line in stdout if line.startswith("train r2:")]
+    assert (out / "model_deaths_autoreg.json").exists()
+    assert (out / "model_deaths_autoreg.json.meta.json").exists()
 
 
 def test_fit_single_candidate_skips_grid_search(tmp_path, capsys):
@@ -318,6 +349,24 @@ def test_a_usage_error_after_a_successful_call_is_reported_as_on_a_new_parser(tm
     capsys.readouterr()
     assert main(bad) == 1
     assert capsys.readouterr().err == alone == "error: argument --horizon: invalid int value: 'x'\n"
+
+
+def test_backtest_on_a_plateaued_series_reports_an_undefined_test_r2(tmp_path, capsys):
+    data = make_plateau_csv(tmp_path / "data.csv", n=60, rise=45)
+    grid = write_grid(tmp_path / "grid.ini", "[autoreg]\np = 1, 2\n")
+    out = tmp_path / "bt"
+    code = main([
+        "backtest", "--input", str(data), "--models", "autoreg", "--target", "deaths",
+        "--grid", str(grid), "--out", str(out),
+    ])
+    assert code == 0
+    stdout = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in stdout if line.startswith("Test Score")] == [
+        ["Test", "Score", "n/a"]
+    ]
+    (model,) = json.loads((out / "backtest_report.json").read_text())["models"]
+    assert "error" not in model and model["metrics"]["r2_test"] is None
+    assert model["notes"] == ["r2_test undefined: fit_score undefined: actual series is constant"]
 
 
 def test_backtest_total_failure_is_model_error(tmp_path, capsys):

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from epiforecast.backtest import (
@@ -54,6 +54,7 @@ PROTOCOLS = {
 }
 DEATHS = extract_series(iran_covid(), "deaths")
 N_TRAIN = len(train_test_split(DEATHS, 0.2)[0])
+N_TEST = len(DEATHS) - N_TRAIN
 FIRST_FOLD_END = PROTOCOLS["rolling"].initial_train + PROTOCOLS["rolling"].horizon
 # An example replaces a whole stretch of the series, so shrinking a failure
 # would rerun the harness hundreds of times; a failure is reported unshrunk.
@@ -68,8 +69,8 @@ def _with_tail(s: Series, cut: int, tail) -> Series:
 
 
 def _continuation(increments) -> np.ndarray:
-    """An increasing continuation of the training split: its last value plus the
-    running sum of the increments."""
+    """A continuation of the training split: its last value plus the running sum
+    of the increments, so it never falls and rises wherever one is positive."""
     return DEATHS.values[N_TRAIN - 1] + np.cumsum(np.asarray(increments, dtype=np.float64))
 
 
@@ -118,6 +119,15 @@ def _folds(protocol_name: str) -> list[tuple[int, int]]:
 @given(st.lists(st.integers(1, 5_000), min_size=len(DEATHS) - N_TRAIN,
                 max_size=len(DEATHS) - N_TRAIN))
 def test_compare_models_selection_ignores_the_test_split(protocol_name, increments):
+    changed = _with_tail(DEATHS, N_TRAIN, _continuation(increments))
+    assert _selection(protocol_name, changed) == _unchanged(_selection, protocol_name)
+
+
+@pytest.mark.parametrize("protocol_name", PROTOCOLS)
+@LEAKAGE
+@given(st.lists(st.integers(0, 5_000), min_size=N_TEST, max_size=N_TEST))
+@example([0] * N_TEST)  # a count that stops rising: the test split is constant
+def test_compare_models_selection_ignores_a_test_split_that_plateaus(protocol_name, increments):
     changed = _with_tail(DEATHS, N_TRAIN, _continuation(increments))
     assert _selection(protocol_name, changed) == _unchanged(_selection, protocol_name)
 
