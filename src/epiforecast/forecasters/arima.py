@@ -4,11 +4,22 @@ The objective conditions on the first p differenced observations and treats
 pre-sample moving-average errors as zero. Starting values come from the
 Hannan-Rissanen two-stage regression; a Levenberg-Marquardt loop with an
 analytic Jacobian refines them.
+
+Kernels. About half of a fit is the MA recursion, _ma_filter, a sequential
+loop over Python floats; the rest is the set-up around it, one Jacobian per
+iteration and one solve and residual pass per trial step. So the Jacobian
+slices its intercept and AR bases from one list of -z instead of reading
+array columns back, each filtered list goes back to NumPy through struct
+(_array), and fit_arima enters np.errstate and reads the float limits once
+per fit. Every product keeps its operands, shapes and layout, so fits are
+bit-identical to the versions kept as test oracles.
 """
 
 from __future__ import annotations
 
 import logging
+import math
+import struct
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,6 +35,7 @@ logger = logging.getLogger(__name__)
 
 MAX_ITER = 200
 REL_TOL = 1e-10
+_TINY = float(np.finfo(float).tiny)  # guards the relative reduction against s = 0
 
 
 def _ma_filter(base: list, theta: list) -> list:
@@ -85,6 +97,14 @@ def _ma_filter(base: list, theta: list) -> list:
     return u
 
 
+def _array(values: list) -> np.ndarray:
+    """np.array(values) for a list of Python floats, in about a third of the
+    time: struct copies each float's double as it is, so the bits are equal."""
+    out = np.empty(len(values))
+    struct.pack_into(f"{len(values)}d", out, 0, *values)
+    return out
+
+
 def css_residuals(z: np.ndarray, order: ArimaOrder, params) -> np.ndarray:
     """Conditional residuals e_t for t = p..m-1 on an already-differenced series.
 
@@ -107,19 +127,16 @@ def css_residuals(z: np.ndarray, order: ArimaOrder, params) -> np.ndarray:
         e = e - phi[i - 1] * z[p - i : m - i]
     if q == 0:
         return e
-    return np.array(_ma_filter(e.tolist(), theta.tolist()), dtype=np.float64)
-
-
-def _sum_of_squares(e: np.ndarray) -> float:
-    # far-from-stationary candidates overflow to inf here; callers treat a
-    # non-finite objective as divergence, so silence the intermediate warning
-    with np.errstate(over="ignore"):
-        return float(e @ e)
+    return _array(_ma_filter(e.tolist(), theta.tolist()))
 
 
 def arima_css_objective(z: np.ndarray, order: ArimaOrder, params) -> float:
     """Sum of squared conditional residuals; with q = 0 this is the AR objective."""
-    return _sum_of_squares(css_residuals(z, order, params))
+    e = css_residuals(z, order, params)
+    # far-from-stationary candidates overflow to inf here; callers treat a
+    # non-finite objective as divergence, so silence the intermediate warning
+    with np.errstate(over="ignore"):
+        return float(e @ e)
 
 
 def _css_jacobian(
@@ -127,23 +144,28 @@ def _css_jacobian(
 ) -> np.ndarray:
     """d(residual)/d(params) at beta, given beta's residuals eps.
 
-    Each column is its base sensitivity passed through the MA recursion. The
-    base of theta_j is -e_{t-j}, the theta_1 base lagged by j - 1 with zero
-    rows above; the pre-sample is zero and the filter is time-invariant, so
-    filtering the theta_1 base once and lagging the result gives every MA
-    column. The terms this skips are theta_k * 0.0 on the zero rows, which
-    change no value (at most the sign of an exact zero).
+    Each column is its base sensitivity passed through the MA recursion: -1
+    for the intercept, -z_{t-i} for phi_i. The base of theta_j is -e_{t-j},
+    the theta_1 base lagged by j - 1 with zero rows above; the pre-sample is
+    zero and the filter is time-invariant, so filtering the theta_1 base once
+    and lagging the result gives every MA column. The terms this skips are
+    theta_k * 0.0 on the zero rows, which change no value (at most the sign
+    of an exact zero). The filter takes lists, so the intercept and AR bases
+    are sliced from one list of -z; negation is exact, so every base holds
+    the bits of the lag matrix's negated columns.
     """
     p, q = order.p, order.q
-    T = z.size - p
-    J = np.zeros((T, 1 + p + q), dtype=np.float64)
-    J[:, : 1 + p] = -lag_matrix(z, p)[0]
     if q == 0:
-        return J
+        return -lag_matrix(z, p)[0]
+    m = z.size
+    T = m - p
     theta = beta[1 + p :].tolist()
-    for col in range(1 + p):
-        J[:, col] = _ma_filter(J[:, col].tolist(), theta)
-    ma = np.array(_ma_filter([0.0] + (-eps[:-1]).tolist(), theta), dtype=np.float64)
+    J = np.zeros((T, 1 + p + q), dtype=np.float64)
+    J[:, 0] = _array(_ma_filter([-1.0] * T, theta))
+    neg_z = (-z).tolist()
+    for i in range(1, p + 1):
+        J[:, i] = _array(_ma_filter(neg_z[p - i : m - i], theta))
+    ma = _array(_ma_filter([0.0] + (-eps[:-1]).tolist(), theta))
     for lag in range(min(q, T)):
         J[lag:, 1 + p + lag] = ma[: T - lag]
     return J
@@ -226,36 +248,40 @@ def fit_arima(train: Series, order: ArimaOrder) -> FittedModel:
         raise ContractError(f"series of length {n} too short for ARIMA({p},{d},{q})")
     z, _ = difference_values(train.values, d)
     beta = _hannan_rissanen_init(z, order)
-    # eps always holds the residuals of the current beta
-    eps = css_residuals(z, order, beta)
-    s = _sum_of_squares(eps)
-    if not np.isfinite(s):
-        raise DivergenceError("ARIMA starting values give a non-finite objective")
+    # far-from-stationary candidates overflow to inf in their residuals and sums
+    # of squares; a non-finite objective is divergence at the start and a
+    # refused step later, so keep numpy quiet on that handled path
+    with np.errstate(over="ignore"):
+        # eps always holds the residuals of the current beta
+        eps = css_residuals(z, order, beta)
+        s = float(eps @ eps)
+        if not math.isfinite(s):
+            raise DivergenceError("ARIMA starting values give a non-finite objective")
 
-    lam = 1e-3
-    identity = np.eye(beta.size)
-    for _ in range(MAX_ITER):
-        J = _css_jacobian(z, order, beta, eps)
-        g = J.T @ eps
-        A = J.T @ J
-        rel = 0.0  # stays 0.0, below REL_TOL, when no step is accepted
-        for _ in range(30):
-            try:
-                delta = np.linalg.solve(A + lam * identity, -g)
-            except np.linalg.LinAlgError:
+        lam = 1e-3
+        identity = np.eye(beta.size)
+        for _ in range(MAX_ITER):
+            J = _css_jacobian(z, order, beta, eps)
+            neg_g = -(J.T @ eps)
+            A = J.T @ J
+            rel = 0.0  # stays 0.0, below REL_TOL, when no step is accepted
+            for _ in range(30):
+                try:
+                    delta = np.linalg.solve(A + lam * identity, neg_g)
+                except np.linalg.LinAlgError:
+                    lam = min(lam * 10.0, 1e12)
+                    continue
+                candidate = beta + delta
+                eps_new = css_residuals(z, order, candidate)
+                s_new = float(eps_new @ eps_new)
+                if s_new < s:  # s is finite, so an inf or NaN s_new fails this
+                    rel = (s - s_new) / max(s, _TINY)
+                    beta, eps, s = candidate, eps_new, s_new
+                    lam = max(lam / 10.0, 1e-12)
+                    break
                 lam = min(lam * 10.0, 1e12)
-                continue
-            candidate = beta + delta
-            eps_new = css_residuals(z, order, candidate)
-            s_new = _sum_of_squares(eps_new)
-            if np.isfinite(s_new) and s_new < s:
-                rel = (s - s_new) / max(s, np.finfo(float).tiny)
-                beta, eps, s = candidate, eps_new, s_new
-                lam = max(lam / 10.0, 1e-12)
+            if rel < REL_TOL:
                 break
-            lam = min(lam * 10.0, 1e12)
-        if rel < REL_TOL:
-            break
 
     params = ArimaParams(
         c=float(beta[0]),

@@ -174,12 +174,14 @@ def fitted(spec: ForecasterSpec, params: Any, train: Series) -> FittedModel:
 
 def descend(name: str, params: Any, epochs: int, loss: Callable, epoch: Callable) -> Any:
     """Gradient descent: epochs calls of epoch(params) -> (params, loss before
-    the update). Returns the final params with loss_history set to the initial
-    loss, each epoch's loss and the final loss; raises DivergenceError at the
-    first of them after the initial one that is not finite."""
+    the update); epoch may write the update into the arrays of the params it
+    is given, which descend drops. Returns the final params with loss_history
+    set to the initial loss, each epoch's loss and the final loss; raises
+    DivergenceError at the first of them after the initial one that is not
+    finite (math.isfinite: each loss is a Python float)."""
 
     def finite(value: float, k: int) -> float:
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise DivergenceError(f"{name} training diverged at epoch {k}")
         return value
 

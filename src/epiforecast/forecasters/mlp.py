@@ -7,23 +7,28 @@ appends a day-of-week one-hot for the day being predicted.
 
 Training kernel. _layers, the one tanh-layer kernel, is every forward: each
 epoch and the initial and final loss (through _gradients), the in-sample
-predictions and each forecast step. An epoch is per-op dispatch and allocation
-on small arrays, so _gradients hands _layers a buffer for H and writes dH,
-1 - H*H, the error and d_preds into buffers that fit_mlp allocates once per
-fit; preds - y serves the gradient and the loss. fit_mlp writes W - lr * g
-into the gradient arrays the products and dH.sum(axis=0) have just allocated,
-so no buffer aliases an MlpParams. This reproduces the allocating version
-(kept as a test oracle) bit for bit:
+predictions and each forecast step. An epoch is per-op dispatch on small
+arrays, so it allocates only the predictions: _gradients hands _layers a
+buffer for H and writes dH, 1 - H*H, the error, d_preds and the three
+gradient arrays into buffers that fit_mlp allocates once per fit, with
+d_preds' (n, 1) column view; preds - y serves the gradient and the loss.
+fit_mlp's epoch writes w - lr * g into the weight arrays in place, so the
+MlpParams it returns holds the arrays of the one it was given. This
+reproduces the allocating version (kept as a test oracle) bit for bit:
   * every matrix product keeps its operands, shapes and memory layout, from
-    which OpenBLAS picks its kernel and so its summation order: X @ W.T (into
-    a new or buffered C-contiguous (n, h) array), H @ out_w, dH.T @ X and
-    H.T @ d_preds;
+    which OpenBLAS picks its kernel and so its summation order: X @ W.T,
+    H @ out_w, dH.T @ X and H.T @ d_preds, each into a new or a buffered
+    C-contiguous array of its shape;
   * np.add.reduce over err * err is the pairwise sum inside np.mean of
-    err ** 2, divided by n as np.mean does; dH.sum(axis=0) is unchanged;
+    err ** 2, divided by n as np.mean does; np.add.reduce(dH, axis=0) is
+    what dH.sum(axis=0) calls;
   * an elementwise op writes the same bits into a buffer as into a new array,
     and each keeps its operands (np.outer(a, b) is a[:, None] * b; lr * g is
     g * lr). Stacked candidates, transposed layouts, ones @ dH or fused ops
     would change summation orders or roundings.
+A forecast step writes its window and weekday one-hot into one (1, d) row,
+the values np.concatenate built, and runs _layers on it with a buffered
+(1, h) H, so its (1, k) @ W.T product keeps its shape.
 """
 
 from __future__ import annotations
@@ -78,13 +83,16 @@ def _design(train: Series, config: MlpConfig) -> tuple[np.ndarray, np.ndarray]:
 def check_mlp_params(params: MlpParams, config: MlpConfig) -> None:
     """Raise ValueError unless hidden_w is (h, d) and hidden_b (h,), both None
     when h = 0, and out_w is (h or d,), with d the window plus 7 weekday inputs
-    when seasonal; and unless next_dow is set exactly when seasonal."""
+    when seasonal; and unless next_dow is set exactly when seasonal, to a
+    weekday index 0..6."""
     h, d = config.hidden_units, config.window + (7 if config.seasonal else 0)
     check_shape("hidden_w", params.hidden_w, (h, d) if h else None, "the mlp config")
     check_shape("hidden_b", params.hidden_b, (h,) if h else None, "the mlp config")
     check_shape("out_w", params.out_w, (h or d,), "the mlp config")
     if (params.next_dow is None) == config.seasonal:
         raise ValueError(f"next_dow is {params.next_dow} but seasonal is {config.seasonal}")
+    if params.next_dow not in (None, *range(7)):
+        raise ValueError(f"next_dow is {params.next_dow}, not a weekday index 0..6")
 
 
 def _layers(params: MlpParams, X: np.ndarray, H: np.ndarray | None = None) -> tuple:
@@ -102,32 +110,38 @@ def _forward(params: MlpParams, X: np.ndarray) -> np.ndarray:
     return _layers(params, X)[1]
 
 
-def _work(n: int, h: int) -> tuple[np.ndarray, ...]:
-    """_gradients' buffers for n rows and h hidden units: H, dH and 1 - H*H
-    (n, h), then the error and d_preds (n,)."""
-    return np.empty((n, h)), np.empty((n, h)), np.empty((n, h)), np.empty(n), np.empty(n)
+def _work(n: int, d: int, h: int) -> tuple:
+    """_gradients' buffers for n rows of d features and h hidden units: H, dH and
+    1 - H*H (n, h), the error and d_preds (n,), d_preds as an (n, 1) column,
+    then the gradients of hidden_w (h, d) and hidden_b (h,), None when h = 0,
+    and of out_w (h or d,)."""
+    d_preds = np.empty(n)
+    hidden = (np.empty((h, d)), np.empty(h)) if h else (None, None)
+    return (
+        np.empty((n, h)), np.empty((n, h)), np.empty((n, h)), np.empty(n), d_preds,
+        d_preds[:, None], *hidden, np.empty(h or d),
+    )
 
 
-def _gradients(
-    params: MlpParams, X: np.ndarray, y: np.ndarray, work: tuple[np.ndarray, ...]
-) -> tuple[MlpParams, np.ndarray, float]:
-    """mlp_gradients' kernel, plus the mean squared error of the predictions.
-    Temporaries go into work's buffers; the gradient arrays are new, so a
-    caller may overwrite them."""
-    H, dH, dtanh, err, d_preds = work
+def _gradients(params: MlpParams, X: np.ndarray, y: np.ndarray, work: tuple) -> tuple:
+    """mlp_gradients' kernel: the gradients of hidden_w, hidden_b (None when
+    h = 0) and out_w, written into work's buffers, the out_b gradient, the
+    predictions and their mean squared error."""
+    H, dH, dtanh, err, d_preds, d_col, g_hidden_w, g_hidden_b, g_out_w = work
     H, preds = _layers(params, X, H)
     np.subtract(preds, y, out=err)
     np.multiply(2.0 / len(y), err, out=d_preds)
-    hidden_w = hidden_b = None
     if params.hidden_w is not None:
-        np.multiply(d_preds[:, None], params.out_w, out=dH)
+        np.multiply(d_col, params.out_w, out=dH)
         np.multiply(H, H, out=dtanh)
         np.subtract(1.0, dtanh, out=dtanh)
         np.multiply(dH, dtanh, out=dH)
-        hidden_w, hidden_b = dH.T @ X, dH.sum(axis=0)
-    grads = MlpParams(hidden_w, hidden_b, H.T @ d_preds, float(np.add.reduce(d_preds)))
+        np.matmul(dH.T, X, out=g_hidden_w)
+        np.add.reduce(dH, axis=0, out=g_hidden_b)
+    np.matmul(H.T, d_preds, out=g_out_w)
+    g_out_b = float(np.add.reduce(d_preds))
     np.multiply(err, err, out=err)
-    return grads, preds, float(np.add.reduce(err)) / len(y)
+    return g_hidden_w, g_hidden_b, g_out_w, g_out_b, preds, float(np.add.reduce(err)) / len(y)
 
 
 def mlp_gradients(
@@ -136,7 +150,10 @@ def mlp_gradients(
     """Exact gradient of mean squared error over (X, y), as an MlpParams with
     params' shapes, plus the predictions."""
     h = 0 if params.hidden_w is None else len(params.hidden_w)
-    return _gradients(params, X, y, _work(len(y), h))[:2]
+    g_hidden_w, g_hidden_b, g_out_w, g_out_b, preds, _ = _gradients(
+        params, X, y, _work(len(y), X.shape[1], h)
+    )
+    return MlpParams(g_hidden_w, g_hidden_b, g_out_w, g_out_b), preds
 
 
 def fit_mlp(train: Series, config: MlpConfig, seed: int = 0) -> FittedModel:
@@ -154,37 +171,43 @@ def fit_mlp(train: Series, config: MlpConfig, seed: int = 0) -> FittedModel:
     params = MlpParams(hidden_w, hidden_b, out_w, out_b)
 
     lr = config.learning_rate
-    work = _work(n, h)
-
-    def update(w: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """w - lr * g, written into g."""
-        np.multiply(g, lr, out=g)
-        return np.subtract(w, g, out=g)
+    work = _work(n, d, h)
 
     def epoch(params: MlpParams) -> tuple[MlpParams, float]:
-        grads, _, value = _gradients(params, X, y, work)
-        return MlpParams(  # next_dow is set after training
-            hidden_w=update(params.hidden_w, grads.hidden_w) if h > 0 else None,
-            hidden_b=update(params.hidden_b, grads.hidden_b) if h > 0 else None,
-            out_w=update(params.out_w, grads.out_w),
-            out_b=params.out_b - lr * grads.out_b,
-        ), value
+        """One update, written into the weight arrays: the params returned hold
+        the arrays of the params given, which descend no longer uses."""
+        hidden_w, hidden_b, out_w = params.hidden_w, params.hidden_b, params.out_w
+        g_hidden_w, g_hidden_b, g_out_w, g_out_b, _, value = _gradients(params, X, y, work)
+        if h > 0:
+            np.subtract(hidden_w, np.multiply(g_hidden_w, lr, out=g_hidden_w), out=hidden_w)
+            np.subtract(hidden_b, np.multiply(g_hidden_b, lr, out=g_hidden_b), out=hidden_b)
+        np.subtract(out_w, np.multiply(g_out_w, lr, out=g_out_w), out=out_w)
+        # next_dow is set after training
+        return MlpParams(hidden_w, hidden_b, out_w, params.out_b - lr * g_out_b), value
 
-    params = descend("MLP", params, config.epochs, lambda p: _gradients(p, X, y, work)[2], epoch)
+    params = descend("MLP", params, config.epochs, lambda p: _gradients(p, X, y, work)[5], epoch)
     next_dow = (train.start_date.weekday() + len(train)) % 7 if config.seasonal else None
     return fitted(ForecasterSpec("mlp", config, seed), replace(params, next_dow=next_dow), train)
 
 
 def forecast_mlp(model: FittedModel, h: int) -> np.ndarray:
+    """Recursive forecast; each step writes its window, and when seasonal the
+    predicted day's weekday one-hot, into one (1, d) row and runs _layers on it."""
     config: MlpConfig = model.spec.config
     params: MlpParams = model.params
+    w = config.window
+    x = np.zeros((1, w + 7 if config.seasonal else w))
+    row = x[0]
+    H = None if params.hidden_w is None else np.empty((1, len(params.hidden_w)))
 
     def step(window: list, k: int) -> float:
-        x = np.array(window, dtype=np.float64)[None, :]
-        dows = np.array([(params.next_dow + k) % 7]) if config.seasonal else None
-        return float(_forward(params, _features(x, dows))[0])
+        row[:w] = window
+        if config.seasonal:
+            row[w:] = 0.0
+            row[w + (params.next_dow + k) % 7] = 1.0
+        return float(_layers(params, x, H)[1][0])
 
-    return recursive_forecast(model.train_tail[-config.window :], h, step)
+    return recursive_forecast(model.train_tail[-w:], h, step)
 
 
 def insample_mlp(model: FittedModel, train: Series) -> tuple[np.ndarray, np.ndarray]:

@@ -123,15 +123,20 @@ def model_from_dict(doc: dict) -> FittedModel:
         check_shape("train_tail", train_tail, (family.tail_length(config),), f"the {kind} config")
         if doc["target"] not in (None, *TARGETS):
             raise ValueError(f"target {doc['target']!r} is not one of {', '.join(TARGETS)}")
+        end = None if doc["train_end_date"] is None else _iso_date(doc["train_end_date"])
+        next_dow = getattr(params, "next_dow", None)  # the seasonal ANN's first forecast weekday
+        if end is not None and next_dow not in (None, (end.weekday() + 1) % 7):
+            raise ValueError(
+                f"next_dow is {next_dow} but the day after train_end_date {end} is weekday "
+                f"{(end.weekday() + 1) % 7}"
+            )
         return FittedModel(
             spec=spec,
             params=params,
             scaler=_decode(MinMaxScaler, doc["scaler"]),
             train_tail=train_tail,
             target=doc["target"],
-            train_end_date=(
-                None if doc["train_end_date"] is None else _iso_date(doc["train_end_date"])
-            ),
+            train_end_date=end,
         )
     # ValueError includes a config or spec check's ContractError; int(inf) overflows
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:

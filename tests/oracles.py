@@ -33,14 +33,18 @@ from epiforecast.backtest import (
 )
 from epiforecast.cli import UsageError, _parse_bool
 from epiforecast.data import train_test_split
-from epiforecast.errors import ContractError, ExhaustedGridError, SingularFitError
+from epiforecast.errors import ContractError, DivergenceError, ExhaustedGridError, SingularFitError
 from epiforecast.forecasters import KINDS, ForecasterSpec
 from epiforecast.forecasters.additive import AdditiveParams
 from epiforecast.forecasters.arima import (
     AR_ROOT_LIMIT,
+    MAX_ITER,
     NEAR_TIE_FACTOR,
+    REL_TOL,
     ArimaParams,
+    _hannan_rissanen_init,
     _ma_filter,
+    _root_warnings,
     arima_orders,
     css_residuals,
     fit_arima,
@@ -255,6 +259,83 @@ def oracle_css_jacobian_lag_loop(z, order, beta, eps):
     for lag in range(min(q, T)):
         J[lag:, 1 + p + lag] = ma[: T - lag]
     return J
+
+
+# --- ARIMA Jacobian and Levenberg-Marquardt loop with their per-call set-up ----
+# _css_jacobian with its base columns from lag_matrix, negated in place and read
+# back one tolist per column, and fit_arima's loop entering np.errstate, reading
+# np.finfo and calling np.isfinite on every trial, as they were; fits must stay
+# bit-identical to them.
+
+
+def oracle_css_jacobian_lag_matrix(z, order, beta, eps):
+    """_css_jacobian with lag_matrix base columns and one tolist per column."""
+    p, q = order.p, order.q
+    T = z.size - p
+    J = np.zeros((T, 1 + p + q), dtype=np.float64)
+    J[:, : 1 + p] = -lag_matrix(z, p)[0]
+    if q == 0:
+        return J
+    theta = beta[1 + p :].tolist()
+    for col in range(1 + p):
+        J[:, col] = _ma_filter(J[:, col].tolist(), theta)
+    ma = np.array(_ma_filter([0.0] + (-eps[:-1]).tolist(), theta), dtype=np.float64)
+    for lag in range(min(q, T)):
+        J[lag:, 1 + p + lag] = ma[: T - lag]
+    return J
+
+
+def _oracle_sum_of_squares(e):
+    with np.errstate(over="ignore"):
+        return float(e @ e)
+
+
+def oracle_fit_arima_params(
+    train, order, residuals=css_residuals, jacobian=oracle_css_jacobian_lag_matrix
+):
+    """fit_arima's ArimaParams from its loop as it was, with the residual and
+    Jacobian functions given (so a caller can count their calls)."""
+    p, d, q = order.p, order.d, order.q
+    n = len(train)
+    if n < p + q + d + 2:
+        raise ContractError(f"series of length {n} too short for ARIMA({p},{d},{q})")
+    z, _ = difference_values(train.values, d)
+    beta = _hannan_rissanen_init(z, order)
+    eps = residuals(z, order, beta)
+    s = _oracle_sum_of_squares(eps)
+    if not np.isfinite(s):
+        raise DivergenceError("ARIMA starting values give a non-finite objective")
+    lam = 1e-3
+    identity = np.eye(beta.size)
+    for _ in range(MAX_ITER):
+        J = jacobian(z, order, beta, eps)
+        g = J.T @ eps
+        A = J.T @ J
+        rel = 0.0
+        for _ in range(30):
+            try:
+                delta = np.linalg.solve(A + lam * identity, -g)
+            except np.linalg.LinAlgError:
+                lam = min(lam * 10.0, 1e12)
+                continue
+            candidate = beta + delta
+            eps_new = residuals(z, order, candidate)
+            s_new = _oracle_sum_of_squares(eps_new)
+            if np.isfinite(s_new) and s_new < s:
+                rel = (s - s_new) / max(s, np.finfo(float).tiny)
+                beta, eps, s = candidate, eps_new, s_new
+                lam = max(lam / 10.0, 1e-12)
+                break
+            lam = min(lam * 10.0, 1e12)
+        if rel < REL_TOL:
+            break
+    return ArimaParams(
+        c=float(beta[0]),
+        phi=beta[1 : 1 + p].copy(),
+        theta=beta[1 + p :].copy(),
+        resid_tail=eps[len(eps) - q :].copy(),
+        warnings=_root_warnings(order, beta),
+    )
 
 
 # --- Hannan-Rissanen start and decrease checks, as they were -----------------

@@ -1,6 +1,8 @@
 """ARIMA: conditional-sum-of-squares residuals, fitting, forecasting and the
 validation-scored order search."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +32,9 @@ from epiforecast.transform import difference_values, fit_scaler, scale
 from oracles import (
     oracle_css_jacobian,
     oracle_css_jacobian_lag_loop,
+    oracle_css_jacobian_lag_matrix,
     oracle_css_residuals,
+    oracle_fit_arima_params,
     oracle_forecast_arima_guarded,
     oracle_grid_search_arima,
     oracle_hannan_rissanen_init,
@@ -467,3 +471,69 @@ def test_hannan_rissanen_ar_stage_refuses_a_constant_series():
         _hannan_rissanen_init(np.full(30, 0.5), ArimaOrder(2, 0, 0))
     with pytest.raises(SingularFitError, match="rank deficient"):
         fit_arima(series(np.full(30, 0.5)), ArimaOrder(1, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "p, q, m", [(p, q, 60) for p, q in KERNEL_ORDERS + [(1, 0), (4, 0), (6, 2), (0, 2)]]
+    + [(1, 3, 3), (2, 0, 3)],
+)
+def test_css_jacobian_is_bit_identical_to_the_lag_matrix_columns(p, q, m):
+    """Bytes, shape and C layout (on which J.T @ J's kernel depends); m = 3
+    leaves fewer rows than MA lags, or a single row."""
+    rng = np.random.default_rng(400 + 10 * p + q)
+    z = rng.normal(0.0, 1.0, m).cumsum()
+    beta = np.concatenate([[0.1], rng.uniform(-0.3, 0.3, p), rng.uniform(-0.5, 0.5, q)])
+    order = ArimaOrder(p, 0, q)
+    eps = css_residuals(z, order, beta)
+    got = _css_jacobian(z, order, beta, eps)
+    want = oracle_css_jacobian_lag_matrix(z, order, beta, eps)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+def _params_bytes(fit):
+    """A fit's c, phi, theta and resid_tail bytes and its warnings, or its error."""
+    try:
+        params = fit()
+    except Exception as exc:  # noqa: BLE001 - both sides must fail alike
+        return type(exc).__name__, str(exc)
+    arrays = (np.float64(params.c), params.phi, params.theta, params.resid_tail)
+    return tuple(a.tobytes() for a in arrays) + (params.warnings,)
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_every_default_order_fits_bit_identically_to_the_loop_as_it_was(
+    iran, target, monkeypatch
+):
+    """All 71 default orders on the backtest's ARIMA fit split of each target,
+    against the loop and Jacobian kept in the oracles, with the same number of
+    residual and Jacobian calls."""
+    train, _ = train_test_split(extract_series(iran, target), 0.2)
+    fit_part, _ = train_test_split(train, 0.2)
+    fit_part = scale(fit_scaler(fit_part), fit_part)
+    calls = Counter()
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+        return call
+
+    monkeypatch.setattr(arima, "css_residuals", counted("residuals", css_residuals))
+    monkeypatch.setattr(arima, "_css_jacobian", counted("jacobian", _css_jacobian))
+    oracle_residuals = counted("oracle residuals", css_residuals)
+    oracle_jacobian = counted("oracle jacobian", oracle_css_jacobian_lag_matrix)
+    orders = arima_orders(ARIMA_DEFAULT_P_MAX, ARIMA_DEFAULT_Q_MAX, ARIMA_DEFAULT_D)
+    assert len(orders) == 71
+    fitted_orders = 0
+    for order in orders:
+        calls.clear()
+        got = _params_bytes(lambda: fit_arima(fit_part, order).params)
+        want = _params_bytes(
+            lambda: oracle_fit_arima_params(fit_part, order, oracle_residuals, oracle_jacobian)
+        )
+        assert got == want, order
+        assert calls["residuals"] == calls["oracle residuals"] > 0, order
+        assert calls["jacobian"] == calls["oracle jacobian"], order
+        fitted_orders += calls["jacobian"] > 0
+    assert fitted_orders >= 60

@@ -1513,3 +1513,45 @@ def test_one_process_serves_every_kind_as_prefixes_of_its_reference(
                 assert served == b"".join(reference[path][: horizon + 1])
     assert module_state() == state
     capsys.readouterr()
+
+
+SEASONAL_MLP = _spec("mlp", window=3, hidden_units=2, epochs=2, learning_rate=0.1, seasonal=True)
+
+
+def _day_after(doc):
+    """The weekday index of the day after the file's train_end_date."""
+    return (date.fromisoformat(doc["train_end_date"]) + timedelta(days=1)).weekday()
+
+
+@pytest.mark.parametrize(
+    "next_dow, message",
+    [
+        (7, "next_dow is 7, not a weekday index 0..6"),
+        (-1, "next_dow is -1, not a weekday index 0..6"),
+        (100, "next_dow is 100, not a weekday index 0..6"),
+        (None, "but the day after train_end_date "),
+    ],
+    ids=["seven", "minus-one", "hundred", "another-weekday"],
+)
+def test_a_seasonal_ann_file_whose_next_dow_is_not_the_day_after_training_is_refused(
+    tmp_path, capsys, next_dow, message
+):
+    """7, -1 and 100 used to forecast what 0, 6 and 2 do, and an in-range
+    weekday other than the day after training shifted the weekly pattern."""
+    model_path = saved_model_file(tmp_path, SEASONAL_MLP)
+    args = ["forecast", "--model-file", str(model_path), "--out", str(tmp_path)]
+    assert main(args) == 0
+    capsys.readouterr()
+    doc = json.loads(model_path.read_text())
+    right = _day_after(doc)
+    assert doc["params"]["next_dow"] == right
+    wrong = (right + 3) % 7 if next_dow is None else next_dow
+    doc["params"]["next_dow"] = wrong
+    model_path.write_text(json.dumps(doc))
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed model file: ") and message in err
+    if next_dow is None:
+        assert f"next_dow is {wrong} but the day after train_end_date" in err
+        assert err.rstrip().endswith(f"is weekday {right}")
+    assert "Traceback" not in err

@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 
 from epiforecast.backtest import MLP_DEFAULT_GRID, expand_grid
-from epiforecast.data import train_test_split
+from epiforecast.data import TARGETS, extract_series, train_test_split
 from epiforecast.errors import ContractError, DivergenceError
 from epiforecast.forecasters import ForecasterSpec, fit, forecast, insample_predictions
 from epiforecast.forecasters.base import MlpConfig
-from epiforecast.forecasters.mlp import MlpParams, _features, _forward, fit_mlp, mlp_gradients
+from epiforecast.forecasters.mlp import MlpParams, _features, _forward, fit_mlp, forecast_mlp
+from epiforecast.forecasters.mlp import mlp_gradients
 from epiforecast.forecasters.mlp import _design
 from epiforecast.transform import fit_scaler, scale
 from oracles import (
     mlp_gradcheck_max_rel_err,
     oracle_fit_mlp_params,
+    oracle_forecast_mlp,
     oracle_mlp_forward,
     oracle_mlp_gradients,
     oracle_mlp_init,
@@ -261,3 +263,36 @@ def test_divergence_is_raised_at_the_references_first_non_finite_epoch(deaths_fi
     assert 1 < k <= config.epochs
     with pytest.raises(DivergenceError, match=f"diverged at epoch {k}$"):
         fit_mlp(deaths_fit_part, config, seed=0)
+
+
+@pytest.mark.parametrize("seasonal", [False, True], ids=["plain", "seasonal"])
+@pytest.mark.parametrize("hidden_units", [0, 8, 16])
+def test_the_buffered_forecast_equals_the_reference_and_its_prefixes(
+    hidden_units, seasonal, deaths_fit_part
+):
+    config = MlpConfig(window=14, hidden_units=hidden_units, epochs=50, learning_rate=0.1,
+                       seasonal=seasonal)
+    model = fit_mlp(deaths_fit_part, config, seed=0)
+    full = forecast_mlp(model, 180)
+    for h in (1, 7, 180):
+        got = forecast_mlp(model, h)
+        assert got.tobytes() == oracle_forecast_mlp(model, h).tobytes(), h
+        assert got.tobytes() == full[:h].tobytes(), h
+
+
+# The four default-grid candidates, cut to 2,000 epochs: a run of E epochs is
+# the first E epochs of the default run.
+DEFAULT_CANDIDATES = [
+    spec.config for spec in expand_grid("mlp", {**MLP_DEFAULT_GRID, "epochs": (2000,)}, 0)
+]
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_the_default_candidates_train_as_the_reference_on_every_target(iran, target):
+    """Parameters and loss_history bytes on the backtest's fit split of each target."""
+    train, _ = train_test_split(extract_series(iran, target), 0.2)
+    fit_part, _ = train_test_split(train, 0.2)
+    fit_part = scale(fit_scaler(fit_part), fit_part)
+    assert len(DEFAULT_CANDIDATES) == 4
+    for config in DEFAULT_CANDIDATES:
+        _assert_fit_equals_the_reference(fit_part, config, seed=0)

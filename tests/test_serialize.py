@@ -192,3 +192,20 @@ def test_registry_shape_facts_match_what_fitters_store(spec):
     family = FAMILIES[spec.kind]
     assert model.train_tail.shape == (family.tail_length(spec.config),)
     family.check_params(model.params, spec.config)
+
+
+@pytest.mark.parametrize("in_range, out_of_range", [(0, 7), (6, -1)])
+def test_next_dow_is_checked_against_train_end_date_only_when_that_is_set(in_range, out_of_range):
+    doc = model_to_dict(fit(SPECS[3], small_series()))
+    doc["train_end_date"] = None
+    doc["params"]["next_dow"] = in_range
+    assert model_from_dict(doc).params.next_dow == in_range
+    doc["params"]["next_dow"] = out_of_range
+    with pytest.raises(ModelFileError, match=f"next_dow is {out_of_range}, not a weekday index"):
+        model_from_dict(doc)
+
+
+def test_a_fitted_seasonal_ann_loads_with_the_weekday_after_training():
+    model = fit(SPECS[3], small_series())
+    assert model.params.next_dow == (model.train_end_date.weekday() + 1) % 7
+    assert model_from_dict(model_to_dict(model)).params.next_dow == model.params.next_dow
