@@ -142,7 +142,7 @@ def _resolve(args) -> dict:
     file serves every command, so [run] may hold keys another command uses."""
     keys = [k for k in DEFAULTS if hasattr(args, k)]
     effective = {k: DEFAULTS[k] for k in keys}
-    if getattr(args, "config", None):
+    if getattr(args, "config", None) is not None:  # "" is a path that cannot be read
         ini = _read_ini(args.config, "config")
         if ini.has_section("run"):
             unknown = set(ini.options("run")) - set(DEFAULTS)
@@ -196,7 +196,7 @@ def _grid_section(ini: configparser.ConfigParser, kind: str, seed: int) -> list[
 def _candidate_grids(seed: int, grid_path: str | None) -> dict[str, list[ForecasterSpec]]:
     """Candidates per kind: the default grids, each replaced by its --grid section."""
     grids = {kind: expand_grid(kind, DEFAULT_GRIDS[kind], seed) for kind in KINDS}
-    if grid_path:
+    if grid_path is not None:  # "" is a path that cannot be read
         ini = _read_ini(grid_path, "grid")
         for kind in ini.sections():
             if kind not in KINDS:

@@ -184,18 +184,15 @@ def parse_csv(text: str, *, allow_corrections: bool = False) -> EpidemicDataset:
             d = _iso_date(raw_date)
         except ValueError:
             raise ParseError(f"unparseable date {raw_date!r}", line=lineno) from None
-        row_counts = {}
-        for name in TARGETS:
+        dates.append(d)
+        for name in TARGETS:  # a ParseError ends the whole parse, half-appended row and all
             raw = cells[pos[name]].strip()
             if not (raw.isascii() and raw.removeprefix("-").isdigit()):  # -?[0-9]+
                 raise ParseError(f"unparseable count {raw!r} in column {name}", line=lineno)
             value = int(raw)
             if value >= 2**63:  # the dataset stores counts as int64
                 raise ParseError(f"count {raw} in column {name} exceeds 2**63 - 1", line=lineno)
-            row_counts[name] = value
-        dates.append(d)
-        for name in TARGETS:
-            counts[name].append(row_counts[name])
+            counts[name].append(value)
 
     if not dates:
         raise StructuralError("dataset is empty")
@@ -221,13 +218,8 @@ def parse_csv(text: str, *, allow_corrections: bool = False) -> EpidemicDataset:
         if i is not None and not allow_corrections:
             raise ValidationError(f"cumulative column {name} decreases on {dates[i].isoformat()}")
 
-    return EpidemicDataset(
-        dates=tuple(dates),
-        confirmed=np.array(counts["confirmed"], dtype=np.int64),
-        deaths=np.array(counts["deaths"], dtype=np.int64),
-        recovered=np.array(counts["recovered"], dtype=np.int64),
-        corrections_allowed=allow_corrections,
-    )
+    columns = {name: np.array(col, dtype=np.int64) for name, col in counts.items()}
+    return EpidemicDataset(tuple(dates), **columns, corrections_allowed=allow_corrections)
 
 
 def csv_text(header, rows) -> str:

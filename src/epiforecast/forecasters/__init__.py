@@ -48,41 +48,6 @@ from .lstm import (
 from .mlp import fit_mlp, forecast_mlp, insample_mlp
 from .serialize import load_model, model_from_dict, model_to_dict, save_model
 
-__all__ = [
-    "KINDS",
-    "AdditiveConfig",
-    "ArOrder",
-    "ArimaOrder",
-    "FittedModel",
-    "ForecasterSpec",
-    "LstmConfig",
-    "MlpConfig",
-    "arima_css_objective",
-    "build_additive_design",
-    "css_residuals",
-    "fit",
-    "fit_additive",
-    "fit_arima",
-    "fit_autoreg",
-    "fit_mlp",
-    "forecast",
-    "forecast_additive",
-    "forecast_arima",
-    "forecast_autoreg",
-    "forecast_lstm",
-    "forecast_mlp",
-    "grid_search_arima",
-    "insample_predictions",
-    "load_model",
-    "lstm_backward",
-    "lstm_cell_step",
-    "lstm_forward",
-    "model_from_dict",
-    "model_to_dict",
-    "save_model",
-    "train_lstm",
-]
-
 
 @dataclass(frozen=True)
 class Family:

@@ -34,6 +34,7 @@ the values np.concatenate built, and runs _layers on it with a buffered
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from datetime import date
 
 import numpy as np
 
@@ -55,6 +56,11 @@ class MlpParams:
     out_b: float
     next_dow: int | None = None  # weekday index of the first post-training day
     loss_history: tuple[float, ...] = ()
+
+
+def weekday_after(day: date) -> int:
+    """The weekday index (Monday 0) of the day after day: next_dow after a last training day."""
+    return (day.weekday() + 1) % 7
 
 
 def _dow_onehot(dow: np.ndarray) -> np.ndarray:
@@ -186,7 +192,7 @@ def fit_mlp(train: Series, config: MlpConfig, seed: int = 0) -> FittedModel:
         return MlpParams(hidden_w, hidden_b, out_w, params.out_b - lr * g_out_b), value
 
     params = descend("MLP", params, config.epochs, lambda p: _gradients(p, X, y, work)[5], epoch)
-    next_dow = (train.start_date.weekday() + len(train)) % 7 if config.seasonal else None
+    next_dow = weekday_after(train.end_date) if config.seasonal else None
     return fitted(ForecasterSpec("mlp", config, seed), replace(params, next_dow=next_dow), train)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import types
-from dataclasses import asdict, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 from functools import cache
 from pathlib import Path
 from typing import Union, get_args, get_origin, get_type_hints
@@ -21,13 +21,14 @@ from ..data import TARGETS, _iso_date, read_input, write_output
 from ..errors import ModelFileError
 from ..transform import MinMaxScaler
 from .base import CONFIG_TYPES, FittedModel, ForecasterSpec, check_shape
+from .mlp import weekday_after
 
 SCHEMA_VERSION = 1
 
 
 def _encode(value):
-    """Params dataclass -> JSON tree: arrays and tuples become lists, nested
-    dataclasses objects keyed in field order; scalars and None pass through."""
+    """Config, scaler, params or train tail -> JSON tree: arrays and tuples become
+    lists, dataclasses objects keyed in field order; scalars and None pass through."""
     if is_dataclass(value):
         return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, np.ndarray):
@@ -94,11 +95,11 @@ def model_to_dict(model: FittedModel) -> dict:
         "train_end_date": (
             None if model.train_end_date is None else model.train_end_date.isoformat()
         ),
-        "config": asdict(model.spec.config),
-        "scaler": {"min": model.scaler.min, "max": model.scaler.max},
+        "config": _encode(model.spec.config),
+        "scaler": _encode(model.scaler),
         # always null: no fitter keeps a differencing state; the key is part of schema 1
         "diff_state": None,
-        "train_tail": model.train_tail.tolist(),
+        "train_tail": _encode(model.train_tail),
         "params": _encode(model.params),
     }
 
@@ -125,10 +126,10 @@ def model_from_dict(doc: dict) -> FittedModel:
             raise ValueError(f"target {doc['target']!r} is not one of {', '.join(TARGETS)}")
         end = None if doc["train_end_date"] is None else _iso_date(doc["train_end_date"])
         next_dow = getattr(params, "next_dow", None)  # the seasonal ANN's first forecast weekday
-        if end is not None and next_dow not in (None, (end.weekday() + 1) % 7):
+        if end is not None and next_dow not in (None, weekday_after(end)):
             raise ValueError(
                 f"next_dow is {next_dow} but the day after train_end_date {end} is weekday "
-                f"{(end.weekday() + 1) % 7}"
+                f"{weekday_after(end)}"
             )
         return FittedModel(
             spec=spec,

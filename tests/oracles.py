@@ -13,7 +13,8 @@ import csv
 import io
 import itertools
 import json
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
+from datetime import date, timedelta
 from pathlib import Path
 from typing import get_type_hints
 
@@ -32,8 +33,23 @@ from epiforecast.backtest import (
     fit_normalized,
 )
 from epiforecast.cli import UsageError, _parse_bool
-from epiforecast.data import train_test_split
-from epiforecast.errors import ContractError, DivergenceError, ExhaustedGridError, SingularFitError
+from epiforecast.data import (
+    TARGETS,
+    EpidemicDataset,
+    _first_decrease,
+    _iso_date,
+    _normalize_header,
+    train_test_split,
+)
+from epiforecast.errors import (
+    ContractError,
+    DivergenceError,
+    ExhaustedGridError,
+    ParseError,
+    SingularFitError,
+    StructuralError,
+    ValidationError,
+)
 from epiforecast.forecasters import KINDS, ForecasterSpec
 from epiforecast.forecasters.additive import AdditiveParams
 from epiforecast.forecasters.arima import (
@@ -59,6 +75,7 @@ from epiforecast.forecasters.lstm import (
     lstm_forward,
 )
 from epiforecast.forecasters.mlp import MlpParams, _forward, mlp_gradients
+from epiforecast.forecasters.serialize import SCHEMA_VERSION, _encode
 from epiforecast.transform import difference_values, integrate_forecast
 
 FD_EPS = 1e-5
@@ -1095,3 +1112,94 @@ def oracle_grid_search(candidates, train, protocol=None):
             f"all {len(failures)} grid candidates failed; last: {failures[-1][1]}"
         )
     return best_spec, fit_normalized(best_spec, train), best_score
+
+
+# --- CSV rows and model files ---------------------------------------------------------
+# parse_csv as it was when it buffered each row's counts and copied them in a
+# second loop, and named the three columns again to build the dataset;
+# model_to_dict as it was when it wrote the config through asdict and the scaler
+# as a hand-written dict.
+
+
+def oracle_parse_csv(text: str, *, allow_corrections: bool = False) -> EpidemicDataset:
+    reader = csv.reader(io.StringIO(text))
+    rows = list(reader)
+    if not rows:
+        raise StructuralError("dataset is empty")
+    pos = _normalize_header(rows[0])
+
+    dates: list[date] = []
+    counts: dict[str, list[int]] = {t: [] for t in TARGETS}
+    for lineno, cells in enumerate(rows[1:], start=2):
+        if not cells or all(c.strip() == "" for c in cells):
+            continue
+        if len(cells) != len(rows[0]):
+            raise ParseError(
+                f"expected {len(rows[0])} fields, found {len(cells)}", line=lineno
+            )
+        raw_date = cells[pos["date"]].strip()
+        try:
+            d = _iso_date(raw_date)
+        except ValueError:
+            raise ParseError(f"unparseable date {raw_date!r}", line=lineno) from None
+        row_counts = {}
+        for name in TARGETS:
+            raw = cells[pos[name]].strip()
+            if not (raw.isascii() and raw.removeprefix("-").isdigit()):  # -?[0-9]+
+                raise ParseError(f"unparseable count {raw!r} in column {name}", line=lineno)
+            value = int(raw)
+            if value >= 2**63:  # the dataset stores counts as int64
+                raise ParseError(f"count {raw} in column {name} exceeds 2**63 - 1", line=lineno)
+            row_counts[name] = value
+        dates.append(d)
+        for name in TARGETS:
+            counts[name].append(row_counts[name])
+
+    if not dates:
+        raise StructuralError("dataset is empty")
+
+    for i in range(1, len(dates)):
+        step = (dates[i] - dates[i - 1]).days
+        if step == 0:
+            raise StructuralError(f"duplicate date {dates[i].isoformat()}")
+        if step < 0:
+            raise StructuralError(f"dates out of order at {dates[i].isoformat()}")
+        if step > 1:
+            missing = dates[i - 1] + timedelta(days=1)
+            raise StructuralError(f"date gap: missing {missing.isoformat()}")
+
+    for name in TARGETS:
+        col = counts[name]
+        for i, value in enumerate(col):
+            if value < 0:
+                raise ValidationError(
+                    f"negative count {value} in column {name} on {dates[i].isoformat()}"
+                )
+        i = _first_decrease(col)
+        if i is not None and not allow_corrections:
+            raise ValidationError(f"cumulative column {name} decreases on {dates[i].isoformat()}")
+
+    return EpidemicDataset(
+        dates=tuple(dates),
+        confirmed=np.array(counts["confirmed"], dtype=np.int64),
+        deaths=np.array(counts["deaths"], dtype=np.int64),
+        recovered=np.array(counts["recovered"], dtype=np.int64),
+        corrections_allowed=allow_corrections,
+    )
+
+
+def oracle_model_to_dict(model) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": model.spec.kind,
+        "seed": model.spec.seed,
+        "target": model.target,
+        "train_end_date": (
+            None if model.train_end_date is None else model.train_end_date.isoformat()
+        ),
+        "config": asdict(model.spec.config),
+        "scaler": {"min": model.scaler.min, "max": model.scaler.max},
+        "diff_state": None,
+        "train_tail": model.train_tail.tolist(),
+        "params": _encode(model.params),
+    }

@@ -1555,3 +1555,38 @@ def test_a_seasonal_ann_file_whose_next_dow_is_not_the_day_after_training_is_ref
         assert f"next_dow is {wrong} but the day after train_end_date" in err
         assert err.rstrip().endswith(f"is weekday {right}")
     assert "Traceback" not in err
+
+
+# --- an empty --grid or --config path -----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("fit", "--grid"), ("backtest", "--grid"),
+        ("fit", "--config"), ("forecast", "--config"), ("backtest", "--config"),
+        ("plotdata", "--config"),
+    ],
+)
+def test_an_empty_grid_or_config_path_is_a_usage_error(tmp_path, capsys, command, flag):
+    """An empty path used to count as no file: the command ran on the default
+    grids and options and its sidecar recorded the empty path."""
+    data = str(make_csv(tmp_path / "data.csv"))
+    made = tmp_path / "made"
+    fit_args = ["fit", "--input", data, "--target", "deaths", "--model", "autoreg"]
+    assert main([*fit_args, "--out", str(made)]) == 0
+    model = str(made / "model_deaths_autoreg.json")
+    assert main(["forecast", "--model-file", model, "--horizon", "5", "--out", str(made)]) == 0
+    args = {
+        "fit": fit_args,
+        "forecast": ["forecast", "--model-file", model],
+        "backtest": ["backtest", "--input", data, "--target", "deaths", "--models", "autoreg"],
+        "plotdata": ["plotdata", "--input", data, "--forecast", str(made / "forecast.csv")],
+    }[command]
+    assert main([*args, "--out", str(tmp_path / "given")]) == 0  # the same command with no flag
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([*args, flag, "", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read : ") and "Traceback" not in err
+    assert not out.exists()

@@ -1,14 +1,15 @@
 """CSV ingestion, dataset structure, series extraction and splitting."""
 
 import re
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from epiforecast.data import (
+    TARGETS,
     EpidemicDataset,
     Series,
     _first_decrease,
@@ -31,6 +32,7 @@ from oracles import (
     oracle_first_decrease_argmax,
     oracle_first_decrease_pairwise,
     oracle_first_negative_increment,
+    oracle_parse_csv,
 )
 from support import START, series
 
@@ -321,3 +323,85 @@ def test_read_input_raises_the_callers_error_class(tmp_path, case):
         read_input(path, ParseError)
     cause = UnicodeDecodeError if case == "not-text" else OSError
     assert isinstance(info.value.__cause__, cause)
+
+
+# --- one pass per CSV row ---------------------------------------------------------------
+
+FAULTS = (
+    "arity", "date", "count", "negative", "decrease", "gap", "duplicate", "order",
+    "blank", "bom", "crlf",
+)
+BAD_DATES = ("2020-13-01", "20200226", "2020-W09-4", "26/02/2020", "", "2020-2-26")
+BAD_COUNTS = ("\uff12", "1_000", "+7", "1.0", "", "x", "\u0663", str(2**63), str(10**30))
+
+
+@st.composite
+def faulty_csv(draw):
+    """A CSV text of valid rows, in a drawn column order and header case, with one
+    or two planted faults; sometimes a text that only changes its line ends."""
+    names = draw(st.permutations(["Date", "Confirmed", "Deaths", "Recovered"]))
+    header = [draw(st.sampled_from([n, n.lower(), n.upper(), f" {n} "])) for n in names]
+    n = draw(st.integers(1, 6))
+    faults = draw(st.lists(st.sampled_from(FAULTS), min_size=1, max_size=2))
+    gap = draw(st.integers(1, n)) if "gap" in faults else n  # rows from gap on skip a day
+    start = draw(st.dates(date(2020, 1, 1), date(2021, 12, 31)))
+    totals = {t: draw(st.integers(0, 50)) for t in TARGETS}
+    rows = []
+    for i in range(n):
+        for t in TARGETS:
+            totals[t] += draw(st.integers(0, 9))
+        cell = {"date": (start + timedelta(days=i + (i >= gap))).isoformat(), **totals}
+        rows.append([str(cell[name.lower()]) for name in names])
+    date_at, column = names.index("Date"), [names.index(t.title()) for t in TARGETS]
+    newline = "\n"
+    for fault in faults:
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
+        if fault in ("date", "count", "negative", "decrease") and len(row) < len(names):
+            continue  # a blank or short row the other fault planted
+        if fault == "arity":
+            rows[i] = row[:-1] if draw(st.booleans()) else [*row, "0"]
+        elif fault == "date":
+            row[date_at] = draw(st.sampled_from(BAD_DATES))
+        elif fault in ("count", "negative", "decrease"):
+            j = draw(st.sampled_from(column))
+            if fault == "count":
+                row[j] = draw(st.sampled_from(BAD_COUNTS))
+            elif fault == "negative":
+                row[j] = str(-draw(st.integers(1, 2**70)))
+            elif row[j].isdigit() and int(row[j]) > 0:
+                row[j] = str(int(row[j]) - draw(st.integers(1, int(row[j]))))
+        elif fault == "duplicate":
+            rows.insert(i, list(row))
+        elif fault == "order" and len(rows) > 1:
+            j = (i + 1) % len(rows)
+            rows[i], rows[j] = rows[j], rows[i]
+        elif fault == "blank":
+            rows.insert(i, draw(st.sampled_from([[], [""], [" "] * len(names)])))
+        elif fault == "crlf":
+            newline = "\r\n"
+    text = newline.join(",".join(r) for r in [header, *rows]) + newline
+    return ("\ufeff" + text) if "bom" in faults else text
+
+
+def parse_outcome(parse, text, allow_corrections):
+    """The dataset's dates, column bytes and flag, or the error's type, message and line."""
+    try:
+        ds = parse(text, allow_corrections=allow_corrections)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    columns = tuple((getattr(ds, t).dtype, getattr(ds, t).tobytes()) for t in TARGETS)
+    return ds.dates, columns, ds.corrections_allowed
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=faulty_csv())
+@example(text="")
+@example(text="Date,Confirmed,Deaths,Recovered\n")
+@example(text="Date,Confirmed,Deaths,Recovered\n\n ,,, \n")
+@example(text=GOOD)
+def test_parse_csv_appends_each_row_as_the_two_pass_parser_did(text):
+    for allow in (False, True):
+        got = parse_outcome(parse_csv, text, allow)
+        assert got == parse_outcome(oracle_parse_csv, text, allow)
+        event(got[0].__name__ if isinstance(got[0], type) else "parsed")

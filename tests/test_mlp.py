@@ -1,9 +1,12 @@
 """One-hidden-layer network with optional day-of-week one-hot features."""
 
 import itertools
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epiforecast.backtest import MLP_DEFAULT_GRID, expand_grid
 from epiforecast.data import TARGETS, extract_series, train_test_split
@@ -12,7 +15,7 @@ from epiforecast.forecasters import ForecasterSpec, fit, forecast, insample_pred
 from epiforecast.forecasters.base import MlpConfig
 from epiforecast.forecasters.mlp import MlpParams, _features, _forward, fit_mlp, forecast_mlp
 from epiforecast.forecasters.mlp import mlp_gradients
-from epiforecast.forecasters.mlp import _design
+from epiforecast.forecasters.mlp import _design, weekday_after
 from epiforecast.transform import fit_scaler, scale
 from oracles import (
     mlp_gradcheck_max_rel_err,
@@ -296,3 +299,12 @@ def test_the_default_candidates_train_as_the_reference_on_every_target(iran, tar
     assert len(DEFAULT_CANDIDATES) == 4
     for config in DEFAULT_CANDIDATES:
         _assert_fit_equals_the_reference(fit_part, config, seed=0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(start=st.dates(max_value=date(9000, 1, 1)), n=st.integers(1, 4000))
+def test_weekday_after_the_last_training_day_is_the_start_plus_length_rule(start, n):
+    """fit_mlp's next_dow used to be (start weekday + training length) mod 7."""
+    train = series(np.zeros(n), start=start)
+    assert train.end_date == start + timedelta(days=n - 1)
+    assert weekday_after(train.end_date) == (start.weekday() + n) % 7

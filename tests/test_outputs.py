@@ -2,6 +2,7 @@
 bytes of the write idioms it replaced."""
 
 import csv
+import importlib
 import importlib.util
 import json
 import os
@@ -14,10 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epiforecast import cli
+from epiforecast.backtest import compare_models
 from epiforecast.cli import main
 from epiforecast.data import FORECAST_HEADER, Series, csv_text, read_forecast_csv, write_output
 from epiforecast.errors import ContractError
-from epiforecast.forecasters import load_model, model_to_dict
+from epiforecast.forecasters import ForecasterSpec, load_model, model_to_dict
+from epiforecast.forecasters.base import AdditiveConfig, ArimaOrder, ArOrder, LstmConfig, MlpConfig
 from oracles import (
     oracle_forecast_csv_text,
     oracle_plot_csv_text,
@@ -257,3 +260,48 @@ def test_each_traced_cli_attribute_is_called_by_its_commands(
             callers[attr].add(name)
     capsys.readouterr()
     assert callers == CALLERS
+
+
+def package_patch_points() -> set[tuple[str, str]]:
+    """Every (module, attribute) outside epiforecast.cli that the benchmark wraps:
+    the rest of spans.BOUNDARIES, and what Accounting.install patches, recorded by
+    a stand-in for spans.patch."""
+    path = Path(__file__).parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    points = {(module, attr) for _, module, attr, _ in spans.BOUNDARIES}
+    spans.patch = lambda module, attr, make_wrapper: points.add((module, attr))
+    spans.Accounting().install()
+    return {(module, attr) for module, attr in points if module != "epiforecast.cli"}
+
+
+TINY_GRIDS = {
+    "autoreg": [ArOrder(1), ArOrder(2)],
+    "arima": [ArimaOrder(1, 1, 0), ArimaOrder(0, 1, 1)],
+    "lstm": [LstmConfig(2, 3, 2, 0.1, layers=1), LstmConfig(2, 3, 2, 0.05, layers=1)],
+    "mlp": [MlpConfig(3, 2, 3, 0.1), MlpConfig(3, 2, 3, 0.1, seasonal=True)],
+    "additive": [AdditiveConfig(n_changepoints=2), AdditiveConfig(n_changepoints=3)],
+}
+
+
+def test_each_traced_package_attribute_is_looked_up_when_called(monkeypatch, deaths):
+    """A wrapper on a module attribute sees a call only if callers look the
+    attribute up when they call it; one bound at import time (say, a FAMILIES
+    entry holding fit_autoreg itself) would leave a traced run at zero calls.
+    compare_models grid-searches two candidates per kind and forecasts each
+    chosen model over the test split."""
+    points = package_patch_points()
+    called = set()
+    for module, attr in points:
+        owner = importlib.import_module(module)
+
+        def spy(*args, _point=(module, attr), _original=getattr(owner, attr), **kwargs):
+            called.add(_point)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, spy)
+    entries = [(kind, [ForecasterSpec(kind, c) for c in grid]) for kind, grid in TINY_GRIDS.items()]
+    report = compare_models(entries, deaths)
+    assert [row.error for row in report.rows] == [None] * len(TINY_GRIDS)
+    assert sorted(points - called) == []

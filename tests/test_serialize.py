@@ -24,7 +24,7 @@ from epiforecast.forecasters.base import (
 )
 from epiforecast.forecasters.serialize import SCHEMA_VERSION, model_from_dict, model_to_dict
 from epiforecast.transform import MinMaxScaler
-from oracles import oracle_params_from_dict, oracle_params_to_dict
+from oracles import oracle_model_to_dict, oracle_params_from_dict, oracle_params_to_dict
 from support import series
 
 SPECS = [
@@ -209,3 +209,14 @@ def test_a_fitted_seasonal_ann_loads_with_the_weekday_after_training():
     model = fit(SPECS[3], small_series())
     assert model.params.next_dow == (model.train_end_date.weekday() + 1) % 7
     assert model_from_dict(model_to_dict(model)).params.next_dow == model.params.next_dow
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+def test_model_file_text_is_the_hand_written_encoders_text(spec):
+    """Every part of the model file goes through _encode; its JSON text is the
+    text of the encoder that used asdict for the config and wrote the scaler by hand."""
+    model = fit(spec, small_series())
+    served = replace(model, scaler=MinMaxScaler(2.0, 9.5), target="deaths")
+    for m in (model, served, replace(served, train_end_date=None)):
+        text = json.dumps(model_to_dict(m), indent=2)
+        assert text == json.dumps(oracle_model_to_dict(m), indent=2)
