@@ -304,18 +304,20 @@ def cmd_forecast(args) -> None:
             values = model.scaler.inverse(forecast(model, horizon)).tolist()
         start = np.datetime64(model.train_end_date, "D")
         days = np.datetime_as_string(start + np.arange(1, horizon + 1)).tolist()
-        diverged = [day for day, value in zip(days, values) if not math.isfinite(value)]
-        if diverged:
-            raise DivergenceError(f"model file {model_path}: non-finite forecast on {diverged[0]}")
-        floored = [day for day, value in zip(days, values) if value < 0.0]
+        label = LABELS[model.spec.kind]
+        floored = []
+        for day, value in zip(days, values):
+            if not math.isfinite(value):
+                raise DivergenceError(f"model file {model_path}: non-finite forecast on {day}")
+            if value < 0.0:  # -0.0 is not floored, so it is written as -0.000000
+                floored.append(day)
+                value = 0.0
+            rows.append((day, model.target, label, value))
         if floored:
             logger.warning(
                 "floored %d negative %s forecasts to 0 for %s, the first on %s",
                 len(floored), model.target, model_path, floored[0],
             )
-        label = LABELS[model.spec.kind]
-        # -0.0 is not floored, so it is written as -0.000000
-        rows += [(day, model.target, label, 0.0 if v < 0.0 else v) for day, v in zip(days, values)]
     path = run.write("forecast.csv", lambda p: write_output(p, csv_text(FORECAST_HEADER, rows)))
     print(f"wrote {path} ({len(rows)} rows)")
 

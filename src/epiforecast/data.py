@@ -346,8 +346,11 @@ def train_test_split(s: Series, test_fraction: float = 0.2) -> tuple[Series, Ser
 
 
 def read_input(path: str | Path, error: type[Exception]) -> str:
-    """The text of the file at path, less a leading byte-order mark. A file that cannot
-    be read or is not text in the locale's encoding raises error, each caller's own."""
+    """The text of the file at path, less a leading byte-order mark. An empty path, or a
+    file that cannot be read or is not text in the locale's encoding, raises error, each
+    caller's own."""
+    if path == "":  # Path("") is the current directory
+        raise error("cannot read : the path is empty")
     try:
         return Path(path).read_text().removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:

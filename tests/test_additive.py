@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from epiforecast.errors import ContractError
+from epiforecast.errors import ContractError, SingularFitError
 from epiforecast.forecasters import ForecasterSpec, fit, forecast, insample_predictions
 from epiforecast.forecasters.additive import (
     build_additive_design,
@@ -128,3 +128,11 @@ def test_each_forecast_is_the_first_rows_of_a_longer_one_bit_for_bit(
     full = forecast(model, 180)
     for h in range(1, 180):
         assert forecast(model, h).tobytes() == full[:h].tobytes(), h
+
+
+def test_a_period_of_two_days_makes_the_design_rank_deficient():
+    """sin(2 pi t / 2) is 0 on every integer day t, so one of the 6 columns is zero."""
+    config = AdditiveConfig(n_changepoints=2, fourier_order=1, period=2.0)
+    message = r"^additive design is rank deficient \(rank 5 of 6\)$"
+    with pytest.raises(SingularFitError, match=message):
+        fit_additive(series(np.linspace(0.0, 1.0, 60) ** 2), config)

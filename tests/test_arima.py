@@ -466,6 +466,20 @@ def test_hannan_rissanen_falls_back_to_the_mean_and_zeros(z, pdq):
     assert oracle_hannan_rissanen_init(z, order).tobytes() == want.tobytes()
 
 
+def test_hannan_rissanen_falls_back_when_the_second_stage_is_rank_deficient():
+    """z_t = z_{t-11} + 1 exactly, so the long AR of order 11 has full rank and
+    residuals of rounding size only, and the second stage's lagged-residual
+    column adds no rank to [1, z_{t-1}]."""
+    base = np.random.default_rng(0).random(11)
+    t = np.arange(80)
+    z = base[t % 11] + t // 11
+    order = ArimaOrder(1, 0, 1)
+    assert np.linalg.matrix_rank(lag_matrix(z, 11)[0]) == 12
+    want = _fallback(z, order.p, order.q)
+    assert _hannan_rissanen_init(z, order).tobytes() == want.tobytes()
+    assert oracle_hannan_rissanen_init(z, order).tobytes() == want.tobytes()
+
+
 def test_hannan_rissanen_ar_stage_refuses_a_constant_series():
     with pytest.raises(SingularFitError, match=r"AR stage is rank deficient \(p = 2\)"):
         _hannan_rissanen_init(np.full(30, 0.5), ArimaOrder(2, 0, 0))

@@ -1590,3 +1590,72 @@ def test_an_empty_grid_or_config_path_is_a_usage_error(tmp_path, capsys, command
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read : ") and "Traceback" not in err
     assert not out.exists()
+
+
+# --- an empty input path --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, flag, exit_code",
+    [
+        ("validate", "--input", 1), ("fit", "--input", 1), ("backtest", "--input", 1),
+        ("plotdata", "--input", 1), ("forecast", "--model-file", 3), ("plotdata", "--forecast", 1),
+        ("fit", "--grid", 1), ("backtest", "--grid", 1),
+        ("fit", "--config", 1), ("forecast", "--config", 1), ("backtest", "--config", 1),
+        ("plotdata", "--config", 1),
+    ],
+)
+def test_an_empty_input_path_says_that_it_is_empty(tmp_path, capsys, command, flag, exit_code):
+    """Path("") is the current directory, so an empty path was reported as
+    "cannot read : [Errno 21] Is a directory: '.'"."""
+    data = str(make_csv(tmp_path / "data.csv"))
+    made = tmp_path / "made"
+    fit_args = ["fit", "--input", data, "--target", "deaths", "--model", "autoreg"]
+    assert main([*fit_args, "--out", str(made)]) == 0
+    model = str(made / "model_deaths_autoreg.json")
+    assert main(["forecast", "--model-file", model, "--horizon", "5", "--out", str(made)]) == 0
+    args = {
+        "validate": ["validate", "--input", data],
+        "fit": fit_args,
+        "forecast": ["forecast", "--model-file", model],
+        "backtest": ["backtest", "--input", data, "--target", "deaths", "--models", "autoreg"],
+        "plotdata": ["plotdata", "--input", data, "--forecast", str(made / "forecast.csv")],
+    }[command]
+    if flag in args:  # the empty path replaces the given one
+        args = [*args[: args.index(flag)], *args[args.index(flag) + 2 :]]
+    capsys.readouterr()
+    out = tmp_path / "out"
+    out_args = [] if command == "validate" else ["--out", str(out)]
+    assert main([*args, flag, "", *out_args]) == exit_code
+    captured = capsys.readouterr()
+    assert captured.err == "error: cannot read : the path is empty\n"
+    assert captured.out == ""
+    assert not out.exists()  # no output and no sidecar
+
+
+def test_a_fit_whose_every_candidate_fails_keeps_the_package_errors_message(
+    tmp_path, capsys, caplog
+):
+    """grid_search's ExhaustedGridError is re-raised as it is, not logged and
+    wrapped as "model additive failed: ..." the way a foreign exception is. A
+    period of 2 days makes the sine column sin(pi t) zero on every integer day t."""
+    data = make_csv(tmp_path / "data.csv")
+    grid = write_grid(
+        tmp_path / "grid.ini",
+        "[additive]\nn_changepoints = 2\nfourier_order = 1\nperiod = 2.0\n"
+        "changepoint_penalty = 0.5, 1.0\n",
+    )
+    out = tmp_path / "out"
+    code = main([
+        "fit", "--input", str(data), "--target", "deaths", "--model", "additive",
+        "--grid", str(grid), "--out", str(out),
+    ])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: all 2 grid candidates failed; last: additive design is rank deficient"
+        " (rank 5 of 6)\n"
+    )
+    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(warnings) == 2  # one per candidate; none says "model additive failed"
+    assert all(m.startswith("grid search skipping additive ") for m in warnings)
+    assert not out.exists()  # no model file and no sidecar

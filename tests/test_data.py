@@ -169,6 +169,12 @@ def test_dataset_rejects_mismatched_columns():
         )
 
 
+def test_dataset_with_no_dates_is_empty():
+    empty = np.array([], dtype=np.int64)
+    with pytest.raises(StructuralError, match="^dataset is empty$"):
+        EpidemicDataset(dates=(), confirmed=empty, deaths=empty, recovered=empty)
+
+
 def test_dataset_columns_are_immutable():
     ds = parse_csv(GOOD)
     with pytest.raises(ValueError):
@@ -323,6 +329,12 @@ def test_read_input_raises_the_callers_error_class(tmp_path, case):
         read_input(path, ParseError)
     cause = UnicodeDecodeError if case == "not-text" else OSError
     assert isinstance(info.value.__cause__, cause)
+
+
+def test_read_input_refuses_an_empty_path_with_the_callers_error_class():
+    """Path("") would read the current directory."""
+    with pytest.raises(ParseError, match="^cannot read : the path is empty$"):
+        read_input("", ParseError)
 
 
 # --- one pass per CSV row ---------------------------------------------------------------

@@ -113,3 +113,9 @@ def test_fit_score_never_exceeds_one_property(seed):
     a = rng.normal(0.0, 1.0, 20)
     p = rng.normal(0.0, 1.0, 20)
     assert fit_score(a, p) <= 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mase_rejects_a_non_finite_train_value(bad):
+    with pytest.raises(ContractError, match="^training series must be finite$"):
+        mase([1.0], [2.0], [3.0, bad, 4.0])
