@@ -70,7 +70,7 @@ class Series:
 
     @property
     def end_date(self) -> date:
-        return self.start_date + timedelta(days=len(self) - 1)
+        return self.date_at(len(self) - 1)
 
     def date_at(self, i: int) -> date:
         return self.start_date + timedelta(days=i)
@@ -152,6 +152,8 @@ def _normalize_header(cells: list[str]) -> dict[str, int]:
     for name in wanted:
         if name not in names:
             raise ParseError(f"missing required column {name!r} in header", line=1)
+        if names.count(name) > 1:
+            raise ParseError(f"column {name!r} appears {names.count(name)} times in header", line=1)
         positions[name] = names.index(name)
     return positions
 
@@ -193,9 +195,6 @@ def parse_csv(text: str, *, allow_corrections: bool = False) -> EpidemicDataset:
             if value >= 2**63:  # the dataset stores counts as int64
                 raise ParseError(f"count {raw} in column {name} exceeds 2**63 - 1", line=lineno)
             counts[name].append(value)
-
-    if not dates:
-        raise StructuralError("dataset is empty")
 
     for i in range(1, len(dates)):
         step = (dates[i] - dates[i - 1]).days
@@ -336,12 +335,7 @@ def train_test_split(s: Series, test_fraction: float = 0.2) -> tuple[Series, Ser
     if n_train < 1:
         raise ContractError(f"series of length {n} too short to split both parts non-empty")
     train = Series(s.values[:n_train], s.start_date, s.kind, s.scale_state)
-    test = Series(
-        s.values[n_train:],
-        s.start_date + timedelta(days=n_train),
-        s.kind,
-        s.scale_state,
-    )
+    test = Series(s.values[n_train:], s.date_at(n_train), s.kind, s.scale_state)
     return train, test
 
 

@@ -18,7 +18,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from ..data import TARGETS, _iso_date, read_input, write_output
-from ..errors import ModelFileError
+from ..errors import DegenerateScaleError, ModelFileError
 from ..transform import MinMaxScaler
 from .base import CONFIG_TYPES, FittedModel, ForecasterSpec, check_shape
 from .mlp import weekday_after
@@ -53,11 +53,14 @@ def _check_leaves(items, item_tp) -> None:
 
 
 def _decode(tp, value):
-    """Inverse of _encode, driven by the field annotations of the config, params
-    or scaler type. Refuses NaN and infinities in every float and array, and
-    any leaf whose JSON kind is not its field's."""
+    """Inverse of _encode, driven by the field annotations of a config, params, scaler
+    or LSTM layer type. Refuses an object whose keys are not exactly its type's fields,
+    NaN and infinities in every float and array, and any leaf whose JSON kind is not its field's."""
     if is_dataclass(tp):
-        return tp(**{name: _decode(ftp, value[name]) for name, ftp in _field_types(tp).items()})
+        hints = _field_types(tp)
+        if {**value}.keys() != hints.keys():  # a list or scalar: TypeError, "not a mapping"
+            raise ValueError(f"{tp.__name__} has keys {list(value)}, its fields are {list(hints)}")
+        return tp(**{name: _decode(ftp, value[name]) for name, ftp in hints.items()})
     if get_origin(tp) in (Union, types.UnionType):  # X | None
         if value is None:
             return None
@@ -112,8 +115,7 @@ def model_from_dict(doc: dict) -> FittedModel:
         raise ModelFileError(f"unsupported model schema version {version!r}")
     try:
         kind = doc["kind"]
-        raw, hints = doc["config"], _field_types(CONFIG_TYPES[kind])  # unknown key: KeyError
-        config = CONFIG_TYPES[kind](**{k: _decode(hints[k], raw[k]) for k in raw})
+        config = _decode(CONFIG_TYPES[kind], doc["config"])
         spec = ForecasterSpec(kind, config, _decode(int, doc["seed"]))
         if doc["diff_state"] is not None:
             raise ModelFileError(f"unsupported diff_state {doc['diff_state']!r}; expected null")
@@ -140,7 +142,8 @@ def model_from_dict(doc: dict) -> FittedModel:
             train_end_date=end,
         )
     # ValueError includes a config or spec check's ContractError; int(inf) overflows
-    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError,
+            DegenerateScaleError) as exc:
         raise ModelFileError(f"malformed model file: {exc}") from exc
 
 

@@ -8,7 +8,6 @@ differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import timedelta
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -94,15 +93,13 @@ def integrate_values(diffed: np.ndarray, state: DifferenceState) -> np.ndarray:
 def difference(s: Series, d: int) -> tuple[Series, DifferenceState]:
     diffed, state = difference_values(s.values, d)
     kind = s.kind if d == 0 else "incident"
-    return Series(diffed, s.start_date + timedelta(days=d), kind, s.scale_state), state
+    return Series(diffed, s.date_at(d), kind, s.scale_state), state
 
 
 def integrate(s: Series, state: DifferenceState) -> Series:
     levels = integrate_values(s.values, state)
     kind = s.kind if state.order == 0 else "cumulative"
-    return Series(
-        levels, s.start_date - timedelta(days=state.order), kind, s.scale_state
-    )
+    return Series(levels, s.date_at(-state.order), kind, s.scale_state)
 
 
 def integrate_forecast(diff_forecast: np.ndarray, level_tail: np.ndarray, d: int) -> np.ndarray:

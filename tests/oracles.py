@@ -13,10 +13,12 @@ import csv
 import io
 import itertools
 import json
-from dataclasses import MISSING, asdict, dataclass, fields
+import math
+import types
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from datetime import date, timedelta
 from pathlib import Path
-from typing import get_type_hints
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -45,12 +47,13 @@ from epiforecast.errors import (
     ContractError,
     DivergenceError,
     ExhaustedGridError,
+    ModelFileError,
     ParseError,
     SingularFitError,
     StructuralError,
     ValidationError,
 )
-from epiforecast.forecasters import KINDS, ForecasterSpec
+from epiforecast.forecasters import FAMILIES, KINDS, ForecasterSpec
 from epiforecast.forecasters.additive import AdditiveParams
 from epiforecast.forecasters.arima import (
     AR_ROOT_LIMIT,
@@ -66,7 +69,13 @@ from epiforecast.forecasters.arima import (
     fit_arima,
 )
 from epiforecast.forecasters.autoreg import ArParams, ar_sum, lag_matrix
-from epiforecast.forecasters.base import CONFIG_TYPES, LstmConfig, recursive_forecast
+from epiforecast.forecasters.base import (
+    CONFIG_TYPES,
+    FittedModel,
+    LstmConfig,
+    check_shape,
+    recursive_forecast,
+)
 from epiforecast.forecasters.lstm import (
     LstmLayerParams,
     LstmParameters,
@@ -74,9 +83,14 @@ from epiforecast.forecasters.lstm import (
     lstm_backward,
     lstm_forward,
 )
-from epiforecast.forecasters.mlp import MlpParams, _forward, mlp_gradients
-from epiforecast.forecasters.serialize import SCHEMA_VERSION, _encode
-from epiforecast.transform import difference_values, integrate_forecast
+from epiforecast.forecasters.mlp import MlpParams, _forward, mlp_gradients, weekday_after
+from epiforecast.forecasters.serialize import (
+    SCHEMA_VERSION,
+    _check_leaves,
+    _encode,
+    _field_types,
+)
+from epiforecast.transform import MinMaxScaler, difference_values, integrate_forecast
 
 FD_EPS = 1e-5
 
@@ -1203,3 +1217,87 @@ def oracle_model_to_dict(model) -> dict:
         "train_tail": model.train_tail.tolist(),
         "params": _encode(model.params),
     }
+
+
+# --- model-file reader and INI boolean reference ----------------------------------
+# The model-file reader as it was when model_from_dict decoded the config with its own
+# comprehension (an unknown config key a KeyError, a missing one the field's default)
+# and _decode's dataclass branch read each field and ignored any other key; and the
+# INI boolean parser as it was with its own word lists.
+
+
+def _oracle_decode(tp, value):
+    if is_dataclass(tp):
+        hints = _field_types(tp)
+        return tp(**{name: _oracle_decode(ftp, value[name]) for name, ftp in hints.items()})
+    if get_origin(tp) in (Union, types.UnionType):  # X | None
+        if value is None:
+            return None
+        (tp,) = [arg for arg in get_args(tp) if arg is not type(None)]
+    if tp is np.ndarray:
+        leaves = np.asarray(value, dtype=object)
+        _check_leaves(leaves.ravel(), float)
+        array = leaves.astype(np.float64)
+        if not np.isfinite(array).all():
+            raise ValueError(f"{array[~np.isfinite(array)][0]} is not a finite number")
+        return array
+    if get_origin(tp) is tuple:
+        item_tp = get_args(tp)[0]
+        if is_dataclass(item_tp):
+            return tuple(_oracle_decode(item_tp, item) for item in value)
+        if not isinstance(value, list):
+            raise ValueError(f"{value!r} is not a list")
+        _check_leaves(value, item_tp)
+        return tuple(value)
+    if tp in (int, float, bool):
+        same = isinstance(value, bool) == (tp is bool) and tp(value) == value
+        if not same or not math.isfinite(value):
+            raise ValueError(f"{value!r} is not a valid {tp.__name__}")
+        return tp(value)
+    return value
+
+
+def oracle_model_from_dict(doc: dict) -> FittedModel:
+    version = doc.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise ModelFileError(f"unsupported model schema version {version!r}")
+    try:
+        kind = doc["kind"]
+        raw, hints = doc["config"], _field_types(CONFIG_TYPES[kind])  # unknown key: KeyError
+        config = CONFIG_TYPES[kind](**{k: _oracle_decode(hints[k], raw[k]) for k in raw})
+        spec = ForecasterSpec(kind, config, _oracle_decode(int, doc["seed"]))
+        if doc["diff_state"] is not None:
+            raise ModelFileError(f"unsupported diff_state {doc['diff_state']!r}; expected null")
+        family = FAMILIES[kind]
+        params = _oracle_decode(family.params_type, doc["params"])
+        family.check_params(params, config)
+        train_tail = _oracle_decode(np.ndarray, doc["train_tail"])
+        check_shape("train_tail", train_tail, (family.tail_length(config),), f"the {kind} config")
+        if doc["target"] not in (None, *TARGETS):
+            raise ValueError(f"target {doc['target']!r} is not one of {', '.join(TARGETS)}")
+        end = None if doc["train_end_date"] is None else _iso_date(doc["train_end_date"])
+        next_dow = getattr(params, "next_dow", None)
+        if end is not None and next_dow not in (None, weekday_after(end)):
+            raise ValueError(
+                f"next_dow is {next_dow} but the day after train_end_date {end} is weekday "
+                f"{weekday_after(end)}"
+            )
+        return FittedModel(
+            spec=spec,
+            params=params,
+            scaler=_oracle_decode(MinMaxScaler, doc["scaler"]),
+            train_tail=train_tail,
+            target=doc["target"],
+            train_end_date=end,
+        )
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
+        raise ModelFileError(f"malformed model file: {exc}") from exc
+
+
+def oracle_parse_bool(raw: str) -> bool:
+    lowered = raw.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise UsageError(f"not a boolean: {raw!r}")

@@ -6,10 +6,10 @@ import logging
 import sys
 import tempfile
 import warnings
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 from datetime import date, timedelta
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -19,14 +19,17 @@ from hypothesis import strategies as st
 from epiforecast import cli, errors
 import epiforecast.forecasters as fc
 from epiforecast.backtest import arima_default_candidates, default_model_grids
-from epiforecast.cli import main
+from epiforecast.cli import _parse_bool, main
 from epiforecast.data import parse_csv, train_test_split
 from epiforecast.forecasters import KINDS, ForecasterSpec, fit, save_model
 from epiforecast.forecasters.base import CONFIG_TYPES, ArOrder
+from epiforecast.forecasters.serialize import _field_types
+from epiforecast.transform import MinMaxScaler
 from oracles import (
     oracle_arima_default_candidates,
     oracle_candidate_grids,
     oracle_default_model_grids,
+    oracle_parse_bool,
 )
 from support import series
 
@@ -1659,3 +1662,120 @@ def test_a_fit_whose_every_candidate_fails_keeps_the_package_errors_message(
     assert len(warnings) == 2  # one per candidate; none says "model additive failed"
     assert all(m.startswith("grid search skipping additive ") for m in warnings)
     assert not out.exists()  # no model file and no sidecar
+
+
+# --- a model-file object holds exactly its type's fields ---------------------------
+
+KEY_RULE_SPECS = {
+    "autoreg": _spec("autoreg", p=2),
+    "arima": _spec("arima", p=1, d=1, q=1),
+    "lstm": _spec("lstm", num_units=2, window=3, epochs=1, learning_rate=0.1),
+    "mlp": SEASONAL_MLP,
+    "additive": _spec("additive", n_changepoints=2, fourier_order=1),
+}
+
+
+def _decoded_objects(kind, doc):
+    """(path, type) of each JSON object the reader decodes into a dataclass: the
+    config, the scaler, the params and each item of a params tuple of dataclasses."""
+    params_type = fc.FAMILIES[kind].params_type
+    found = [(("config",), CONFIG_TYPES[kind]), (("scaler",), MinMaxScaler),
+             (("params",), params_type)]
+    for name, tp in _field_types(params_type).items():
+        if get_origin(tp) is tuple and is_dataclass(get_args(tp)[0]):
+            items = range(len(doc["params"][name]))
+            found += [(("params", name, i), get_args(tp)[0]) for i in items]
+    return found
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_model_file_object_without_exactly_its_fields_is_refused(tmp_path, capsys, kind):
+    """Each key of each decoded object dropped in turn, and one unknown key added. A
+    dropped config key used to load as the field's default, and an unknown key in the
+    scaler, the params or an LSTM layer was ignored."""
+    assert set(KEY_RULE_SPECS) == set(KINDS)
+    model_path = saved_model_file(tmp_path, KEY_RULE_SPECS[kind])
+    base = model_path.read_text()
+    assert main(["forecast", "--model-file", str(model_path), "--out", str(tmp_path / "ok")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    objects = _decoded_objects(kind, json.loads(base))
+    config = KEY_RULE_SPECS[kind].config
+    assert len(objects) == 3 + (config.layers if kind == "lstm" else 0)  # one per LSTM layer
+    for path, tp in objects:
+        for key in [*_field_types(tp), None]:  # None adds an unknown key
+            doc = json.loads(base)
+            node = doc
+            for step in path:
+                node = node[step]
+            if key is None:
+                node["unknown"] = 0
+            else:
+                del node[key]
+            model_path.write_text(json.dumps(doc))
+            assert main(["forecast", "--model-file", str(model_path), "--out", str(out)]) == 3
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: malformed model file: {tp.__name__} has keys ")
+            assert captured.err.count("\n") == 1 and captured.out == ""
+            assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value", [("config", None), ("scaler", [5.0, 9.0]), ("params", "c, phi"), ("params", 3)]
+)
+def test_a_model_file_object_given_as_a_list_or_scalar_is_refused(tmp_path, capsys, key, value):
+    _, model_path = fitted_model_file(tmp_path, capsys)
+    doc = json.loads(model_path.read_text())
+    doc[key] = value
+    model_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["forecast", "--model-file", str(model_path), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: malformed model file: {type(value).__name__!r} object is not a mapping\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("low, high", [(5.0, 1.0), (2.0, 2.0)])
+def test_a_degenerate_model_file_scaler_is_a_malformed_model_file(tmp_path, capsys, low, high):
+    """MinMaxScaler's DegenerateScaleError used to end as a bare "error: degenerate scale"."""
+    _, model_path = fitted_model_file(tmp_path, capsys)
+    doc = json.loads(model_path.read_text())
+    doc["scaler"] = {"min": low, "max": high}
+    model_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["forecast", "--model-file", str(model_path), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: malformed model file: degenerate scale: max ({high}) must exceed min ({low})\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
+
+
+BOOLEAN_WORDS = ("1", "yes", "true", "on", "0", "no", "false", "off")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    word=st.sampled_from(BOOLEAN_WORDS),
+    upper=st.lists(st.booleans(), min_size=5, max_size=5),
+    before=st.text(" \t", max_size=2),
+    after=st.text(" \t", max_size=2),
+)
+def test_ini_booleans_are_configparsers_words_as_the_old_lists_had_them(
+    word, upper, before, after
+):
+    raw = before + "".join(c.upper() if u else c for c, u in zip(word, upper)) + after
+    assert _parse_bool(raw) is oracle_parse_bool(raw) is (word in BOOLEAN_WORDS[:4])
+
+
+@pytest.mark.parametrize("raw", ["maybe", "", "2", "y"])
+def test_other_ini_boolean_words_are_refused_as_they_were(raw):
+    with pytest.raises(cli.UsageError) as new:
+        _parse_bool(raw)
+    with pytest.raises(cli.UsageError) as old:
+        oracle_parse_bool(raw)
+    assert str(new.value) == str(old.value) == f"not a boolean: {raw!r}"

@@ -77,6 +77,16 @@ def test_parse_missing_column_is_line_one_error():
         parse_csv("Date,Confirmed,Recovered\n2020-02-26,10,0\n")
 
 
+@pytest.mark.parametrize("extra, times", [(",Deaths", 2), (",date,DATE", 3)])
+def test_parse_a_column_named_twice_in_the_header_is_line_one_error(extra, times):
+    """The first of the same-named columns used to win without a warning."""
+    name = extra.split(",")[1].lower()
+    text = f"Date,Confirmed,Deaths,Recovered{extra}\n2020-02-26,10,1,0{',0' * (times - 1)}\n"
+    with pytest.raises(ParseError) as exc:
+        parse_csv(text)
+    assert str(exc.value) == f"line 1: column {name!r} appears {times} times in header"
+
+
 def test_parse_wrong_field_count_names_line():
     text = "Date,Confirmed,Deaths,Recovered\n2020-02-26,10,1,0\n2020-02-27,15,2\n"
     with pytest.raises(ParseError, match="line 3"):

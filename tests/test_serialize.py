@@ -24,7 +24,12 @@ from epiforecast.forecasters.base import (
 )
 from epiforecast.forecasters.serialize import SCHEMA_VERSION, model_from_dict, model_to_dict
 from epiforecast.transform import MinMaxScaler
-from oracles import oracle_model_to_dict, oracle_params_from_dict, oracle_params_to_dict
+from oracles import (
+    oracle_model_from_dict,
+    oracle_model_to_dict,
+    oracle_params_from_dict,
+    oracle_params_to_dict,
+)
 from support import series
 
 SPECS = [
@@ -220,3 +225,44 @@ def test_model_file_text_is_the_hand_written_encoders_text(spec):
     for m in (model, served, replace(served, train_end_date=None)):
         text = json.dumps(model_to_dict(m), indent=2)
         assert text == json.dumps(oracle_model_to_dict(m), indent=2)
+
+
+@pytest.mark.parametrize(
+    "spec", CODEC_SPECS, ids=lambda s: f"{s.kind}-{'-'.join(map(str, vars(s.config).values()))}"
+)
+def test_the_key_checking_reader_reads_every_valid_file_as_the_old_reader_did(spec):
+    model = fit(spec, small_series())
+    served = replace(model, scaler=MinMaxScaler(2.0, 9.5), target="deaths")
+    for m in (model, served, replace(served, train_end_date=None)):
+        doc = json.loads(json.dumps(model_to_dict(m)))
+        text = json.dumps(model_to_dict(model_from_dict(doc)), indent=2)
+        assert text == json.dumps(model_to_dict(oracle_model_from_dict(doc)), indent=2)
+
+
+@pytest.mark.parametrize(
+    "spec, path, value",
+    [
+        (SPECS[0], ("train_end_date",), "garbage"),
+        (SPECS[0], ("params", "c"), "abc"),
+        (SPECS[0], ("params", "phi"), [[1.0], [2.0, 3.0]]),
+        (SPECS[0], ("config", "p"), 0),
+        (SPECS[0], ("seed",), -1),
+        (SPECS[1], ("config", "p"), 1.5),
+        (SPECS[1], ("seed",), float("inf")),
+        (SPECS[1], ("params", "c"), float("nan")),
+        (SPECS[2], ("params", "layers", 1, "b"), [0.5]),
+        (SPECS[3], ("params", "next_dow"), 7),
+        (SPECS[4], ("params", "beta"), [True]),
+    ],
+)
+def test_the_key_checking_reader_refuses_a_bad_value_as_the_old_reader_did(spec, path, value):
+    doc = model_to_dict(replace(fit(spec, small_series()), target="deaths"))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ModelFileError, match="^malformed model file: ") as new:
+        model_from_dict(doc)
+    with pytest.raises(ModelFileError) as old:
+        oracle_model_from_dict(doc)
+    assert str(new.value) == str(old.value)
